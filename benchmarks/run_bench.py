@@ -23,6 +23,12 @@ without it each timing uses more repeats for stabler numbers.
 ``--tune-jobs`` sets the parallel worker count of the tuning rows
 (default 4; CI uses 2 to match its runner).
 
+Every entry is stamped with the CPU count, the affinity mask size, the
+cgroup ``cpu.max`` quota and each OpenBLAS library with its inherited
+thread count.  The oracle rows run at one BLAS thread, as ``IFair.fit``
+runs them (:mod:`repro.utils.blas`); each has an ungated
+``*_unscoped_s`` twin timed at the inherited count.
+
 ``--compare BASELINE.json`` is the CI perf-regression gate: after the
 run, every metric in :data:`GATE_LOWER_IS_BETTER` is compared against
 the most recent baseline entry carrying it, and the process exits
@@ -74,6 +80,7 @@ from repro.metrics.individual import consistency
 from repro.serving.engine import InferenceEngine
 from repro.serving.fit import fit_serving_pipeline
 from repro.telemetry.tracing import disable_tracing, enable_tracing, get_tracer
+from repro.utils import blas
 
 # The ISSUE-2 acceptance configuration for the oracle timings.
 M, N, K = 2000, 40, 10
@@ -103,6 +110,20 @@ def _best_of(fn, repeats: int) -> float:
     return min(times)
 
 
+def _time_oracle(timings: dict, key: str, obj, theta, repeats: int) -> None:
+    """Time ``obj.loss_and_grad`` as a fit runs it.
+
+    ``key`` is timed at one BLAS thread, the count ``IFair.fit`` sets;
+    ``<key>_unscoped_s`` keeps the time at the process's inherited
+    thread count beside it (not gated).
+    """
+    with blas.limit(1):
+        timings[key] = _best_of(lambda: obj.loss_and_grad(theta), repeats)
+    timings[key[: -len("_s")] + "_unscoped_s"] = _best_of(
+        lambda: obj.loss_and_grad(theta), repeats
+    )
+
+
 def bench_loss_and_grad(repeats: int) -> dict:
     rng = np.random.default_rng(0)
     X = rng.normal(size=(M, N))
@@ -119,14 +140,12 @@ def bench_loss_and_grad(repeats: int) -> dict:
                 fast_kernels=fast,
             )
             key = f"loss_and_grad_{pairs_label}_{kernel_label}_s"
-            timings[key] = _best_of(lambda o=obj: o.loss_and_grad(theta), repeats)
+            _time_oracle(timings, key, obj, theta, repeats)
     # Generic p must not regress: it runs the reference path either way.
     obj_p3 = IFairObjective(
         X, PROTECTED, n_prototypes=K, p=3.0, max_pairs=50_000, random_state=0
     )
-    timings["loss_and_grad_sampled50k_p3_s"] = _best_of(
-        lambda: obj_p3.loss_and_grad(theta), repeats
-    )
+    _time_oracle(timings, "loss_and_grad_sampled50k_p3_s", obj_p3, theta, repeats)
     timings["speedup_full"] = (
         timings["loss_and_grad_full_reference_s"]
         / timings["loss_and_grad_full_fast_s"]
@@ -158,9 +177,7 @@ def bench_landmark(repeats: int, quick: bool) -> dict:
         X, PROTECTED, n_prototypes=K, random_state=0
     )  # moment-form full pair
     _, fair_exact = exact.loss_components(theta)
-    timings["loss_and_grad_full_fast_largeM_s"] = _best_of(
-        lambda: exact.loss_and_grad(theta), repeats
-    )
+    _time_oracle(timings, "loss_and_grad_full_fast_largeM_s", exact, theta, repeats)
 
     for n_land in (64, 256):
         obj = IFairObjective(
@@ -172,9 +189,7 @@ def bench_landmark(repeats: int, quick: bool) -> dict:
             random_state=0,
         )
         _, fair_lm = obj.loss_components(theta)
-        timings[f"loss_and_grad_landmark{n_land}_s"] = _best_of(
-            lambda o=obj: o.loss_and_grad(theta), repeats
-        )
+        _time_oracle(timings, f"loss_and_grad_landmark{n_land}_s", obj, theta, repeats)
         timings[f"landmark{n_land}_fair_rel_err"] = abs(fair_lm - fair_exact) / fair_exact
 
     # Generic p has no moment form: the landmark oracle is the only
@@ -189,9 +204,7 @@ def bench_landmark(repeats: int, quick: bool) -> dict:
         n_landmarks=128,
         random_state=0,
     )
-    timings["loss_and_grad_landmark128_p3_s"] = _best_of(
-        lambda: obj_p3.loss_and_grad(theta), repeats
-    )
+    _time_oracle(timings, "loss_and_grad_landmark128_p3_s", obj_p3, theta, repeats)
     return timings
 
 
@@ -691,16 +704,47 @@ def compare_to_baseline(entry: dict, doc: dict, tolerance: float) -> list:
     return violations
 
 
-def run(label: str, quick: bool, tune_jobs: int, trace_out=None) -> dict:
-    repeats = 3 if quick else 10
-    entry = {
+def _cgroup_cpu_max() -> str:
+    """The cgroup CPU quota as ``"<quota|max> <period>"`` (v2 or v1)."""
+    try:
+        with open("/sys/fs/cgroup/cpu.max") as fh:
+            return fh.read().strip()
+    except OSError:
+        pass
+    try:
+        with open("/sys/fs/cgroup/cpu/cpu.cfs_quota_us") as fh:
+            quota = fh.read().strip()
+        with open("/sys/fs/cgroup/cpu/cpu.cfs_period_us") as fh:
+            period = fh.read().strip()
+    except OSError:
+        return "unknown"
+    return f"{'max' if quota == '-1' else quota} {period}"
+
+
+def _new_entry(label: str, quick: bool) -> dict:
+    """An entry stamped with the machine and BLAS set-up it measures.
+
+    The thread counts are read before any timing, so they are the
+    inherited defaults; fit and oracle rows run at one thread on top of
+    them (:mod:`repro.utils.blas`).
+    """
+    return {
         "label": label,
         "quick": quick,
-        "config": {"M": M, "N": N, "K": K, "p": 2.0},
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
+        "cpu_count": os.cpu_count(),
+        "affinity_cpus": len(os.sched_getaffinity(0)),
+        "cgroup_cpu_max": _cgroup_cpu_max(),
+        "blas_threads": blas.thread_counts(),
     }
+
+
+def run(label: str, quick: bool, tune_jobs: int, trace_out=None) -> dict:
+    repeats = 3 if quick else 10
+    entry = _new_entry(label, quick)
+    entry["config"] = {"M": M, "N": N, "K": K, "p": 2.0}
     entry.update(bench_loss_and_grad(repeats))
     entry.update(bench_landmark(repeats, quick))
     # Fit rows carry the warm-pool acceptance claim; give them the
@@ -822,13 +866,7 @@ def main() -> None:
         args.scaling or args.load or args.sharded or args.chaos or args.online
     )
     if single_mode:
-        entry = {
-            "label": args.label,
-            "quick": args.quick,
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-        }
+        entry = _new_entry(args.label, args.quick)
         if args.scaling:
             entry.update(bench_tune_scaling(args.quick))
         if args.load:

@@ -44,6 +44,9 @@ they are pickled, so they must be module-level.  ``"thread"`` is an
 explicit escape hatch for workloads that release the GIL (e.g. fits
 dominated by large BLAS calls), and ``"serial"`` runs inline — the
 reference semantics the parallel backends must reproduce bitwise.
+Every backend runs its tasks at one OpenBLAS thread
+(:mod:`repro.utils.blas`), because the thread count changes results
+in the last bits.
 
 Nesting is refused gracefully: code running inside a worker sees
 :func:`in_worker` return ``True`` and :func:`effective_n_jobs`
@@ -70,6 +73,7 @@ import numpy as np
 from repro.exceptions import ReproError, ValidationError
 from repro.telemetry.metrics import get_registry, snapshot_diff
 from repro.telemetry.tracing import get_tracer
+from repro.utils import blas
 from repro.utils.shm import ArenaLease, SharedArrayHandle, SharedArrays, arena
 
 EXECUTOR_BACKENDS = ("process", "thread", "serial")
@@ -170,17 +174,21 @@ def get_config_token() -> Optional[int]:
 def effective_n_jobs(n_jobs: Optional[int], *, limit: Optional[int] = None) -> int:
     """Resolve an ``n_jobs`` knob into a concrete worker count.
 
-    ``None``/``1`` mean serial, ``-1`` means one worker per CPU, and
-    the result is clamped to ``limit`` (e.g. the task count).  Inside
-    an executor worker this always returns 1 — nested pools would
-    oversubscribe the machine without speeding anything up.
+    ``None``/``1`` mean serial, ``-1`` means one worker per CPU this
+    process may run on (its affinity mask, where the platform has one),
+    and the result is clamped to ``limit`` (e.g. the task count).
+    Inside an executor worker this always returns 1 — nested pools
+    would oversubscribe the machine without speeding anything up.
     """
     if n_jobs is not None and (n_jobs == 0 or n_jobs < -1):
         raise ValidationError("n_jobs must be None, -1, or a positive integer")
     if n_jobs is None:
         jobs = 1
     elif n_jobs == -1:
-        jobs = os.cpu_count() or 1
+        if hasattr(os, "sched_getaffinity"):
+            jobs = len(os.sched_getaffinity(0))
+        else:  # pragma: no cover - platforms without affinity masks
+            jobs = os.cpu_count() or 1
     else:
         jobs = int(n_jobs)
     if in_worker():
@@ -233,6 +241,9 @@ def _worker_main(configs: Dict[int, _WireConfig], conn) -> None:
     small: this code runs outside the parent's test coverage, so the
     logic that matters (retry accounting, ordering, reduction) lives
     parent-side.
+
+    The worker runs at one BLAS thread for its whole life, because the
+    pool's width already uses the cores (see :mod:`repro.utils.blas`).
     """
     global _WORKER_STATE, _WORKER_SHARED, _WORKER_HANDLES
     global _WORKER_CFG_TOKEN, _IN_WORKER
@@ -313,36 +324,37 @@ def _worker_main(configs: Dict[int, _WireConfig], conn) -> None:
     for wire in configs.values():
         install(wire)
     try:
-        while True:
-            msg = conn.recv()
-            if msg is None:
-                break
-            kind = msg[0]
-            if kind == "cfg":
-                install(msg[1])
-                continue
-            if kind == "drop":
-                drop(msg[1])
-                continue
-            token, index, payload = msg[1], msg[2], msg[3]
-            if token in broken:
-                conn.send((index, "err", broken[token], None))
-                continue
-            fn, state, arrays, handles = installed[token]
-            _WORKER_STATE, _WORKER_SHARED, _WORKER_CFG_TOKEN = state, arrays, token
-            _WORKER_HANDLES = dict(handles)
-            try:
-                result = fn(payload)
-                conn.send((index, "ok", result, telemetry_delta()))
-            except BaseException as exc:  # surfaced parent-side as TaskError
-                conn.send(
-                    (
-                        index,
-                        "err",
-                        (type(exc).__name__, str(exc), traceback.format_exc()),
-                        telemetry_delta(),
+        with blas.limit(1):
+            while True:
+                msg = conn.recv()
+                if msg is None:
+                    break
+                kind = msg[0]
+                if kind == "cfg":
+                    install(msg[1])
+                    continue
+                if kind == "drop":
+                    drop(msg[1])
+                    continue
+                token, index, payload = msg[1], msg[2], msg[3]
+                if token in broken:
+                    conn.send((index, "err", broken[token], None))
+                    continue
+                fn, state, arrays, handles = installed[token]
+                _WORKER_STATE, _WORKER_SHARED, _WORKER_CFG_TOKEN = state, arrays, token
+                _WORKER_HANDLES = dict(handles)
+                try:
+                    result = fn(payload)
+                    conn.send((index, "ok", result, telemetry_delta()))
+                except BaseException as exc:  # surfaced parent-side as TaskError
+                    conn.send(
+                        (
+                            index,
+                            "err",
+                            (type(exc).__name__, str(exc), traceback.format_exc()),
+                            telemetry_delta(),
+                        )
                     )
-                )
     except EOFError:  # parent died; nothing left to serve
         pass
     finally:
@@ -1047,7 +1059,9 @@ class ParallelExecutor:
         The thread backend also raises the :func:`in_worker` flag so
         task code applying the nested-parallelism guard behaves the
         same as under the process backend; plain serial maps leave it
-        down (a serial search over parallel fits is legitimate).
+        down (a serial search over parallel fits is legitimate).  Tasks
+        run at one BLAS thread, as process workers do, so every backend
+        computes the same bits.
         """
         global _WORKER_STATE, _WORKER_SHARED, _WORKER_HANDLES
         global _WORKER_CFG_TOKEN, _IN_WORKER
@@ -1063,11 +1077,12 @@ class ParallelExecutor:
         _WORKER_HANDLES = {}
         _WORKER_CFG_TOKEN = self._token
         try:
-            if not parallel:
-                return [self.fn(payload) for payload in payloads]
-            _IN_WORKER = True
-            with ThreadPoolExecutor(max_workers=self.n_jobs) as pool:
-                return list(pool.map(self.fn, payloads))
+            with blas.limit(1):
+                if not parallel:
+                    return [self.fn(payload) for payload in payloads]
+                _IN_WORKER = True
+                with ThreadPoolExecutor(max_workers=self.n_jobs) as pool:
+                    return list(pool.map(self.fn, payloads))
         finally:
             (
                 _WORKER_STATE,

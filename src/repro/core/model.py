@@ -39,6 +39,7 @@ from repro.exceptions import NotFittedError, ValidationError
 from repro.learners.base import ParamsMixin
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.tracing import get_tracer
+from repro.utils import blas
 from repro.utils.landmarks import LANDMARK_METHODS
 from repro.utils.mathkit import softmax, weighted_minkowski_to_prototypes
 from repro.utils.rng import RandomStateLike, check_random_state, spawn_seeds
@@ -406,6 +407,9 @@ class IFair(ParamsMixin):
             Columns of ``X`` holding protected attributes.  They are
             excluded from the fairness target distances and, for
             iFair-b, initialised with near-zero weights.
+
+        The fit runs at one BLAS thread in every process it uses
+        (:mod:`repro.utils.blas`) and restores the caller's count.
         """
         X = check_matrix(X, "X", min_rows=2)
         self._protected = check_protected_indices(protected_indices, X.shape[1])
@@ -417,7 +421,7 @@ class IFair(ParamsMixin):
             n_records=int(X.shape[0]),
             n_restarts=self.n_restarts,
             backend=self.backend if workers > 1 else "serial",
-        ):
+        ), blas.limit(1):
             return self._fit_inner(X, workers, use_process)
 
     def _uses_sharded_oracle(self) -> bool:

@@ -90,7 +90,7 @@ from repro.core.executor import (
 from repro.exceptions import ValidationError
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.tracing import get_tracer
-from repro.utils import kernels
+from repro.utils import blas, kernels
 from repro.utils.mathkit import softmax
 
 __all__ = [
@@ -678,14 +678,17 @@ class ShardedLandmarkOracle:
         ]
         registry = get_registry()
         registry.counter("fit_shard_evals_total").inc()
-        with get_tracer().span(
-            "fit.shard_eval", n_shards=len(payloads), n_jobs=self.n_jobs
-        ):
-            if self._executor is not None:
-                partials = self._executor.map(payloads)
-            else:
-                partials = [self._eval_local(payload) for payload in payloads]
-        return self._assemble(theta, partials, ws)
+        # One BLAS thread, as executor workers run: in-process shards
+        # compute the same bits as worker shards, also outside a fit.
+        with blas.limit(1):
+            with get_tracer().span(
+                "fit.shard_eval", n_shards=len(payloads), n_jobs=self.n_jobs
+            ):
+                if self._executor is not None:
+                    partials = self._executor.map(payloads)
+                else:
+                    partials = [self._eval_local(payload) for payload in payloads]
+            return self._assemble(theta, partials, ws)
 
     def _eval_local(self, payload: tuple) -> tuple:
         """In-process shard evaluation — the n_jobs=1 reference path.

@@ -36,6 +36,7 @@ from repro.metrics.individual import consistency
 from repro.posthoc.thresholds import GroupThresholdAdjuster
 from repro.serving.artifacts import ServingArtifact
 from repro.telemetry.tracing import get_tracer
+from repro.utils import blas
 
 #: Mixture grid searched by ``tune=True`` — wide spacing, crossed with
 #: the model's prototype count.
@@ -182,18 +183,13 @@ def fit_serving_pipeline(
     arena cache instead of re-publishing it, with the same results as
     ``"per-call"``.  ``tune_promote="extrapolate"`` switches halving
     rung promotion to learning-curve extrapolation.
+
+    The whole pipeline runs at one BLAS thread (:mod:`repro.utils.blas`).
     """
     if dataset.n_records < 10:
         raise ValidationError("serving pipeline needs at least 10 records")
     if pair_mode in ("full", "landmark"):
         max_pairs = None
-    scaler = StandardScaler().fit(dataset.X)
-    X = scaler.transform(dataset.X)
-
-    y = dataset.y
-    if dataset.task != "classification":
-        y = (dataset.y >= np.median(dataset.y)).astype(np.float64)
-
     model_params = {
         "n_prototypes": n_prototypes,
         "lambda_util": lambda_util,
@@ -217,7 +213,13 @@ def fit_serving_pipeline(
     tracer = get_tracer()
     with tracer.span(
         "serving.fit_pipeline", dataset=dataset.name, tune=tune
-    ):
+    ), blas.limit(1):
+        scaler = StandardScaler().fit(dataset.X)
+        X = scaler.transform(dataset.X)
+        y = dataset.y
+        if dataset.task != "classification":
+            y = (dataset.y >= np.median(dataset.y)).astype(np.float64)
+
         tuned_params: Optional[Dict] = None
         if tune:
             with tracer.span("serving.fit_pipeline.tune"):

@@ -14,6 +14,7 @@ The hard guarantees of ISSUE 4, on real model fits:
 """
 
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,11 +22,13 @@ import pytest
 from repro.core.executor import TaskError, get_shared
 from repro.core.model import IFair
 from repro.core.tuning import GridSearch, HalvingConfig, TuningCriterion
+from repro.learners.linear import RidgeRegression
 from repro.learners.logistic import LogisticRegression
 from repro.metrics.classification import roc_auc
 from repro.metrics.individual import consistency
 from repro.pipeline.classification import run_classification
 from repro.pipeline.config import ExperimentConfig
+from repro.utils import blas
 from repro.utils.shm import leaked_segments
 
 
@@ -46,6 +49,27 @@ def _ifair_evaluate(spec, model):
     auc = float(roc_auc(y[val], proba))
     ynn = float(consistency(X[val][:, spec["nonprotected"]], pred, k=5))
     return auc, ynn
+
+
+def _ridge_build(spec, params):
+    """IFair on a few rows, then a ridge regressor on its output."""
+    shared = get_shared()
+    X, y, reg = shared["X"], shared["y"], shared["reg"]
+    model = _ifair_build(spec, params)
+    ridge = RidgeRegression(l2=1.0).fit(model.transform(X[reg]), y[reg])
+    return SimpleNamespace(model=model, ridge=ridge, theta_=model.theta_)
+
+
+def _ridge_evaluate(spec, candidate):
+    shared = get_shared()
+    X, y, val = shared["X"], shared["y"], shared["val"]
+    pred = candidate.ridge.predict(candidate.model.transform(X[val]))
+    mse = float(np.mean((pred - y[val]) ** 2))
+    return -mse, float(consistency(X[val][:, spec["nonprotected"]], pred, k=5))
+
+
+def _ridge_coef(candidate):
+    return {"coef": candidate.ridge.coef_.tolist()}
 
 
 def _raising_build(spec, params):
@@ -137,6 +161,60 @@ class TestNJobsParity:
         assert [r.loss for r in serial.restarts_] == [
             r.loss for r in process.restarts_
         ]
+
+    def test_grid_search_parity_at_threaded_blas_sizes(self):
+        """Candidate evaluation runs at one BLAS thread on every backend.
+
+        A ridge fit on 2000 x 100 rows gives different bits at one and
+        two BLAS threads; the caller runs at two threads, whatever the
+        host's default, while process workers run at one.
+        """
+        rng = np.random.default_rng(11)
+        m, n = 4200, 100
+        X = rng.normal(size=(m, n))
+        X[:, n - 1] = (rng.random(m) > 0.5).astype(float)
+        y = X[:, 0] + 0.5 * X[:, 1] + 0.3 * rng.normal(size=m)
+        idx = np.arange(m)
+        spec = {"seed": 11, "protected": [n - 1], "nonprotected": list(range(n - 1))}
+        shared = {
+            "X": X,
+            "y": y,
+            "train": idx[:200],
+            "reg": idx[200:2200],
+            "val": idx[2200:],
+        }
+        grid = [
+            {
+                "lambda_util": lam,
+                "mu_fair": mu,
+                "n_prototypes": 4,
+                "n_restarts": 1,
+                "max_iter": 8,
+                "max_pairs": 400,
+            }
+            for lam in (0.01, 1.0, 100.0)
+            for mu in (0.01, 1.0, 100.0)
+        ]
+
+        def search(**kwargs):
+            return GridSearch(
+                partial(_ridge_build, spec),
+                partial(_ridge_evaluate, spec),
+                grid,
+                shared=shared,
+                keep_artifacts=False,
+                summarize=_ridge_coef,
+                **kwargs,
+            ).run()
+
+        with blas.limit(2):
+            serial = search()
+            parallel = search(n_jobs=2)
+        for a, b in zip(serial.candidates, parallel.candidates):
+            assert a.utility == b.utility
+            assert a.fairness == b.fairness
+            assert a.info == b.info
+            assert np.array_equal(a.theta, b.theta)
 
     def test_classification_pipeline_parity(self, tiny_compas, fast_config):
         from dataclasses import replace

@@ -45,7 +45,12 @@ class TestEffectiveNJobs:
         assert effective_n_jobs(1) == 1
 
     def test_minus_one_uses_cpus(self):
-        assert effective_n_jobs(-1) == (os.cpu_count() or 1)
+        assert effective_n_jobs(-1) == len(os.sched_getaffinity(0))
+
+    def test_minus_one_counts_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+        assert effective_n_jobs(-1) == 1
 
     def test_limit_clamps(self):
         assert effective_n_jobs(8, limit=3) == 3
