@@ -29,14 +29,6 @@ def objective():
 
 
 @pytest.fixture(scope="module")
-def objective_reference():
-    return IFairObjective(
-        X_MED, PROTECTED, lambda_util=1.0, mu_fair=1.0, n_prototypes=10,
-        fast_kernels=False,
-    )
-
-
-@pytest.fixture(scope="module")
 def theta(objective):
     return np.random.default_rng(1).uniform(0.1, 0.9, size=objective.n_params)
 
@@ -47,11 +39,6 @@ def test_ifair_loss(benchmark, objective, theta):
 
 def test_ifair_loss_and_grad(benchmark, objective, theta):
     benchmark(objective.loss_and_grad, theta)
-
-
-def test_ifair_loss_and_grad_reference(benchmark, objective_reference, theta):
-    """The einsum reference path — the fast-kernel speedup denominator."""
-    benchmark(objective_reference.loss_and_grad, theta)
 
 
 def test_ifair_loss_and_grad_issue_scale(benchmark):

@@ -55,7 +55,7 @@ Worker-side support memo
 ------------------------
 Workers memoise the expensive per-segment support (the non-protected
 column copy, anchor rows, row squared norms) keyed on ``(segment
-name, protected columns, anchor set, p, kernel path)`` and, inside
+name, protected columns, anchor set, p)`` and, inside
 that, the fixed fairness target ``D*`` **per row range** — so two
 consecutive fits over the same broadcast with different shard plans
 can never serve each other stale rows (the stale-memo hazard the
@@ -171,14 +171,7 @@ class _ShardSupport:
     bounded cache of ``D*`` row ranges.
     """
 
-    def __init__(
-        self,
-        X: np.ndarray,
-        nonprotected: np.ndarray,
-        anchor_idx: np.ndarray,
-        *,
-        use_fast: bool,
-    ):
+    def __init__(self, X: np.ndarray, nonprotected: np.ndarray, anchor_idx: np.ndarray):
         self.X = X
         self.anchor_idx = anchor_idx
         self.X_star = np.ascontiguousarray(X[:, nonprotected])
@@ -188,7 +181,7 @@ class _ShardSupport:
         self.aa_star = np.einsum("mn,mn->m", self.X_star, self.X_star)
         self.a_anchor_star = self.aa_star[anchor_idx]
         self.anchors_X = np.ascontiguousarray(X[anchor_idx])
-        self.anchors_X_sq = self.anchors_X * self.anchors_X if use_fast else None
+        self.anchors_X_sq = self.anchors_X * self.anchors_X  # read at p = 2
         self._d_star_ranges: Dict[Tuple[int, int], np.ndarray] = {}
 
     def _d_star_block(self, X_star_rows: np.ndarray, aa_rows: np.ndarray) -> np.ndarray:
@@ -222,9 +215,7 @@ def _anchor_forward(
     support: _ShardSupport,
     V: np.ndarray,
     alpha: np.ndarray,
-    *,
     p: float,
-    use_fast: bool,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(U_anchor, A_tilde, per-anchor squared norms) at the current theta.
 
@@ -232,12 +223,7 @@ def _anchor_forward(
     epilogue, so both sides see bitwise-identical anchor
     representations.
     """
-    if use_fast:
-        d = kernels.weighted_sq_dists_gemm(
-            support.anchors_X, V, alpha, x_sq=support.anchors_X_sq
-        )
-    else:
-        d = kernels.minkowski_dists_blocked(support.anchors_X, V, alpha, p)
+    d = kernels.minkowski_dists(support.anchors_X, V, alpha, p, x_sq=support.anchors_X_sq)
     U = softmax(-d, axis=1)
     A_tilde = U @ V
     a_anchor = np.einsum("ln,ln->l", A_tilde, A_tilde)
@@ -263,7 +249,6 @@ def _eval_shard(
     spec: tuple,
     *,
     p: float,
-    use_fast: bool,
     lam_ws: float,
     mu_w_ws: float,
 ) -> tuple:
@@ -295,15 +280,9 @@ def _eval_shard(
         Xs = support.X[rows]
         d_star = support.d_star_rows(rows, support.X_star[rows])
 
-    _, A_tilde, a_anchor = _anchor_forward(
-        support, V, alpha, p=p, use_fast=use_fast
-    )
+    _, A_tilde, a_anchor = _anchor_forward(support, V, alpha, p)
 
-    if use_fast:
-        d = kernels.weighted_sq_dists_gemm(Xs, V, alpha)
-    else:
-        d = kernels.minkowski_dists_blocked(Xs, V, alpha, p)
-    U = softmax(-d, axis=1)
+    U = softmax(-kernels.minkowski_dists(Xs, V, alpha, p), axis=1)
     X_tilde = U @ V
     resid = X_tilde - Xs
     l_util = float(np.einsum("mn,mn->", resid, resid))
@@ -332,12 +311,7 @@ def _eval_shard(
     grad_V = U.T @ G
     C = G @ V.T
     P = U * (C - np.sum(U * C, axis=1, keepdims=True))
-    if use_fast:
-        grad_alpha, grad_V_dist = kernels.sq_dist_backward(P, Xs, V, alpha)
-    else:
-        grad_alpha, grad_V_dist = kernels.minkowski_backward_blocked(
-            P, Xs, V, alpha, p
-        )
+    grad_alpha, grad_V_dist = kernels.minkowski_backward(P, Xs, V, alpha, p)
     grad_V += grad_V_dist
     return (l_util, e_sq, grad_V, grad_alpha, col_sum, EtX)
 
@@ -359,7 +333,6 @@ def _support_cache_key(state: dict) -> Optional[tuple]:
         tuple(state["nonprotected"]),
         tuple(state["anchors"]),
         state["p"],
-        state["use_fast"],
     )
 
 
@@ -373,7 +346,6 @@ def _worker_support(state: dict) -> _ShardSupport:
         get_shared()["X"],
         np.asarray(state["nonprotected"], dtype=np.int64),
         np.asarray(state["anchors"], dtype=np.int64),
-        use_fast=state["use_fast"],
     )
     if key is not None:
         _SUPPORT_CACHE[key] = support
@@ -413,7 +385,6 @@ def _shard_task(payload: tuple) -> tuple:
         alpha,
         spec,
         p=state["p"],
-        use_fast=state["use_fast"],
         lam_ws=state["lam"] * ws,
         mu_w_ws=state["mu_w"] * ws,
     )
@@ -510,13 +481,7 @@ class ShardedLandmarkOracle:
         self._lam = objective.lambda_util
         self._mu_w = objective.mu_fair * (self._m / anchors.size)
         self._p = objective.p
-        self._use_fast = objective._use_fast
-        self._support = _ShardSupport(
-            objective.X,
-            objective.nonprotected,
-            anchors,
-            use_fast=self._use_fast,
-        )
+        self._support = _ShardSupport(objective.X, objective.nonprotected, anchors)
         self._entropy = self._seed_entropy(random_state)
         self._calls = 0
         self._perm_epoch: Optional[int] = None
@@ -582,7 +547,6 @@ class ShardedLandmarkOracle:
             "nonprotected": [int(i) for i in self._objective.nonprotected],
             "anchors": [int(i) for i in self._anchors],
             "p": self._p,
-            "use_fast": self._use_fast,
             "lam": self._lam,
             "mu_w": self._mu_w,
             "k": self._objective.n_prototypes,
@@ -705,7 +669,6 @@ class ShardedLandmarkOracle:
             alpha,
             spec,
             p=self._p,
-            use_fast=self._use_fast,
             lam_ws=self._lam * ws,
             mu_w_ws=self._mu_w * ws,
         )
@@ -725,23 +688,16 @@ class ShardedLandmarkOracle:
 
         # Anchor role: anchors move with the transform, so the global
         # moments flow back through the L anchor rows (O(L * K * N)).
-        U_a, A_tilde, _ = _anchor_forward(
-            self._support, V, alpha, p=self._p, use_fast=self._use_fast
-        )
+        U_a, A_tilde, _ = _anchor_forward(self._support, V, alpha, self._p)
         G_a = EtX - col_sum[:, None] * A_tilde
         G_a *= -4.0 * self._mu_w * ws
         grad_V += U_a.T @ G_a
         C = G_a @ V.T
         P = U_a * (C - np.sum(U_a * C, axis=1, keepdims=True))
-        if self._use_fast:
-            ga_dist, gv_dist = kernels.sq_dist_backward(
-                P, self._support.anchors_X, V, alpha,
-                x_sq=self._support.anchors_X_sq,
-            )
-        else:
-            ga_dist, gv_dist = kernels.minkowski_backward_blocked(
-                P, self._support.anchors_X, V, alpha, self._p
-            )
+        ga_dist, gv_dist = kernels.minkowski_backward(
+            P, self._support.anchors_X, V, alpha, self._p,
+            x_sq=self._support.anchors_X_sq,
+        )
         grad_V += gv_dist
         grad_alpha += ga_dist
 

@@ -1,15 +1,24 @@
-r"""GEMM-based fast kernels for the softmax-clustering hot path.
+r"""Kernels of the iFair oracle: one distance path, three fairness terms.
 
-Both the iFair objective (:mod:`repro.core.objective`) and the LFR
-baseline spend almost all of their time evaluating the weighted squared
-distance matrix ``d[i, k] = sum_n alpha_n (x_in - v_kn)^2`` and its
-gradients.  The naive implementation materialises an ``(M, K, N)``
-difference tensor; the kernels here expand the square so every heavy
-operation is a BLAS-3 matrix product over ``(M, N)`` / ``(K, N)``
-operands and no 3-D tensor is ever allocated.
+Both the iFair objective (:mod:`repro.core.objective`) and the sharded
+landmark oracle (:mod:`repro.core.shards`) spend almost all of their
+time on the record-prototype distance matrix
+``d[i, k] = sum_n alpha_n |x_in - v_kn|^p`` and its gradients.  Only
+this distance depends on the Minkowski exponent ``p``; the fairness
+term is squared-Euclidean on :math:`\tilde X` for every ``p``.  So the
+module has one distance forward and one distance backward:
 
-Forward expansion
------------------
+* :func:`minkowski_dists` — the GEMM expansion
+  (:func:`weighted_sq_dists_gemm`) at ``p = 2``, the row-blocked
+  tensor form (:func:`minkowski_dists_blocked`) otherwise;
+* :func:`minkowski_backward` — :func:`sq_dist_backward` at ``p = 2``,
+  :func:`minkowski_backward_blocked` otherwise.
+
+No ``(M, K, N)`` tensor exists on either side: the GEMM forms build
+none, and the blocked forms cap theirs at ``(B, K, N)``.
+
+GEMM expansion (``p = 2``)
+--------------------------
 
 .. math::
 
@@ -18,75 +27,46 @@ Forward expansion
              - 2\,\bigl(X (\alpha \circ V)^T\bigr)_{ik}
              + (V^{\circ 2} \alpha)_k
 
-where :math:`X^{\circ 2}` is the elementwise square.  One ``(M, K)``
-GEMM plus two matrix-vector products; peak extra memory is
-``O(M*K + K*N)``.
-
-Backward expansion
-------------------
-
-With ``P = dL/d(-d)`` (the softmax-Jacobian product, shape ``(M, K)``):
+where :math:`X^{\circ 2}` is the elementwise square: one ``(M, K)``
+GEMM plus two matrix-vector products.  With ``P = dL/d(-d)`` (the
+softmax-Jacobian product, shape ``(M, K)``) the backward pass is
 
 .. math::
 
     \frac{\partial L}{\partial v_{kn}}\Big|_{dist}
-        &= 2 \alpha_n \sum_m P_{mk} (x_{mn} - v_{kn})
-         = 2 \alpha_n \bigl[(P^T X)_{kn} - \mathrm{colsum}(P)_k v_{kn}\bigr] \\
+        &= 2 \alpha_n \bigl[(P^T X)_{kn} - \mathrm{colsum}(P)_k v_{kn}\bigr] \\
     \frac{\partial L}{\partial \alpha_n}
-        &= -\sum_{mk} P_{mk} (x_{mn} - v_{kn})^2
-         = -\bigl[\mathrm{rowsum}(P)^T X^{\circ 2}
+        &= -\bigl[\mathrm{rowsum}(P)^T X^{\circ 2}
                   - 2 \textstyle\sum_k (P^T X \circ V)_{kn}
                   + \mathrm{colsum}(P)^T V^{\circ 2}\bigr]_n
 
-so the whole backward pass shares a single ``(K, N)`` GEMM
-(:math:`P^T X`).
+so it shares a single ``(K, N)`` GEMM (:math:`P^T X`).  Inference
+paths with an exact-chunking guarantee (``IFair.memberships(
+batch_size=...)``, serving) use :func:`weighted_sq_dists_rowstable`
+instead: the same expansion through ``np.einsum`` loops whose per-row
+results do not depend on the batch height.
 
-Two forward variants are exposed:
+Fairness terms
+--------------
+Each pair mode of the objective has one fairness kernel, and all three
+share one interface: ``loss(X_tilde)`` returns the term, and
+``add_grad(X_tilde, G, mu)`` adds ``mu * dL_fair/dX_tilde`` into ``G``
+and returns the term.
 
-* :func:`weighted_sq_dists_gemm` — the fastest form (BLAS GEMM).  BLAS
-  may pick different kernels for different batch heights (e.g. a GEMV
-  path for a single row), so results are *not* guaranteed bitwise
-  identical across row-chunked evaluation.  Use it inside optimisers,
-  where only numerical accuracy matters.
-* :func:`weighted_sq_dists_rowstable` — the same expansion through
-  ``np.einsum`` scalar loops.  Each output row is computed
-  independently of the batch height, so chunked evaluation is bitwise
-  identical to one-shot evaluation.  Use it on inference paths with
-  exact-chunking guarantees (``IFair.memberships(batch_size=...)``,
-  serving).
-
-Two further kernels cover the fairness term of the iFair objective:
-
-* :class:`FullPairFairness` — the full ordered-pair loss
-  :math:`\sum_{ij} (\tilde D_{ij} - D^*_{ij})^2` and its gradient in
-  **moment form**: expanding :math:`\tilde D_{ij} = a_i + a_j -
-  2 \langle \tilde x_i, \tilde x_j \rangle` collapses every pair sum
-  into Gram-matrix contractions, so one oracle call costs
-  ``O(M * N^2)`` instead of the ``O(M^2 * N)`` of materialising the
-  ``(M, M)`` distance matrices.
-* :class:`PairScatter` — the sampled-pair gather/scatter
-  (``X[ii] - X[jj]`` and its signed transpose accumulation) as one
-  precomputed sparse incidence operator, replacing the order-of-
-  magnitude-slower ``np.add.at``.
-
-A third fairness oracle removes the remaining ``O(M^2)`` corners for
-very large ``M``:
-
-* :class:`LandmarkFairness` — the landmark (Nystrom-style) pair loss
-  :math:`\sum_{i,l} (\tilde D_{i a_l} - D^*_{i a_l})^2` over ``L``
-  anchor records, evaluated in row blocks so one oracle call costs
-  ``O(M * L * N)`` time and ``O(B * L)`` transient memory; no
-  ``(M, M)`` matrix exists anywhere.  Unlike the moment form it
-  computes each error entry *directly*, so it keeps full relative
-  accuracy when a fit drives :math:`\tilde D \to D^*` (the ROADMAP
-  significance watch-item), and its cross-block loss accumulation runs
+* :class:`FullPairFairness` (``full``) — the full ordered-pair loss
+  :math:`\sum_{ij} (\tilde D_{ij} - D^*_{ij})^2` in **moment form**:
+  expanding :math:`\tilde D_{ij} = a_i + a_j - 2 \langle \tilde x_i,
+  \tilde x_j \rangle` collapses every pair sum into Gram-matrix
+  contractions, ``O(M * N^2)`` per call and no ``(M, M)`` matrix.
+* :class:`PairScatter` (``sampled``) — the fixed pair subsample's
+  gather/scatter (``X[ii] - X[jj]`` and its signed transpose
+  accumulation) as one precomputed sparse incidence operator.
+* :class:`LandmarkFairness` (``landmark``) — the pair loss against
+  ``L`` anchor records, evaluated in row blocks: ``O(M * L * N)`` time
+  and ``O(B * L)`` transient memory.  It computes each error entry
+  directly, so it keeps full relative accuracy when a fit drives
+  :math:`\tilde D \to D^*`, and its cross-block loss accumulation runs
   through :class:`CompensatedSum` (Neumaier compensated summation).
-
-For generic Minkowski ``p`` (where no GEMM expansion exists) the
-blocked kernels :func:`minkowski_dists_blocked` /
-:func:`minkowski_backward_blocked` evaluate the record-prototype
-distance tensor in row blocks, capping the transient ``(B, K, N)``
-allocation at a fixed budget instead of materialising ``(M, K, N)``.
 
 Everything here is thread-safe; :class:`Workspace` hands out
 *thread-local* reusable buffers so parallel restarts can share one
@@ -111,6 +91,8 @@ __all__ = [
     "sq_dist_backward",
     "minkowski_dists_blocked",
     "minkowski_backward_blocked",
+    "minkowski_dists",
+    "minkowski_backward",
     "PairScatter",
     "FullPairFairness",
     "LandmarkFairness",
@@ -278,10 +260,11 @@ def sq_dist_backward(
 
 
 class PairScatter:
-    """Sampled-pair gather/scatter as a precomputed sparse operator.
+    """Sampled-pair fairness term with a precomputed sparse gather/scatter.
 
-    For fixed pair index vectors ``ii``/``jj`` (they never change over
-    an objective's lifetime) the signed incidence matrix
+    For fixed pair index vectors ``ii``/``jj`` into the rows of the
+    non-protected matrix ``X_star`` (they never change over an
+    objective's lifetime) the signed incidence matrix
     ``A[p, ii[p]] = +1, A[p, jj[p]] = -1`` turns both hot sampled-pair
     operations into sparse matrix products:
 
@@ -293,10 +276,13 @@ class PairScatter:
     Both run through scipy's CSR kernels — several times faster than
     the generic ``np.add.at`` ufunc machinery (or a per-column
     ``np.bincount`` scatter) for the pair counts the fairness
-    subsample uses.
+    subsample uses.  ``loss`` / ``add_grad`` (see the module docstring)
+    evaluate ``sum_p (|X_tilde[ii_p] - X_tilde[jj_p]|^2 - D*_p)^2`` with
+    the fixed target ``D*`` taken from ``X_star``.
     """
 
-    def __init__(self, ii: np.ndarray, jj: np.ndarray, m: int):
+    def __init__(self, ii: np.ndarray, jj: np.ndarray, X_star: np.ndarray):
+        m = X_star.shape[0]
         n_pairs = ii.size
         arange = np.arange(n_pairs)
         A = sparse.csr_matrix(
@@ -308,6 +294,12 @@ class PairScatter:
         )
         self._A = A
         self._At = sparse.csr_matrix(A.T)
+        diff = X_star[ii] - X_star[jj]
+        self._d_star = np.sum(diff * diff, axis=1)
+
+    @property
+    def n_pairs(self) -> int:
+        return int(self._A.shape[0])
 
     def diffs(self, X: np.ndarray) -> np.ndarray:
         """``X[ii] - X[jj]``, shape (n_pairs, N)."""
@@ -317,6 +309,22 @@ class PairScatter:
         """``G[ii] += contrib; G[jj] -= contrib`` in place."""
         G += self._At @ contrib
         return G
+
+    def loss(self, X_tilde: np.ndarray) -> float:
+        """Sampled-pair fairness loss, O(n_pairs * N)."""
+        diff = self.diffs(X_tilde)
+        err = np.sum(diff * diff, axis=1) - self._d_star
+        return float(np.sum(err * err))
+
+    def add_grad(self, X_tilde: np.ndarray, G: np.ndarray, mu: float) -> float:
+        """Add ``mu * dL/dX_tilde`` into ``G``; returns the loss."""
+        pd = self.diffs(X_tilde)  # X_tilde[ii] - X_tilde[jj]
+        err = np.einsum("pn,pn->p", pd, pd)
+        err -= self._d_star
+        loss = float(err @ err)
+        pd *= (4.0 * mu) * err[:, None]  # pair contributions
+        self.scatter_add(G, pd)
+        return loss
 
 
 def _frob_sq(A: np.ndarray) -> float:
@@ -440,6 +448,15 @@ class FullPairFairness:
         e_xt += tmp
         return loss, row, e_xt
 
+    def add_grad(self, X_tilde: np.ndarray, G: np.ndarray, mu: float) -> float:
+        """Add ``mu * dL/dX_tilde = 8 mu (r_i x_i - (E X_tilde)_i)`` into
+        ``G``; returns the loss."""
+        loss, row, e_xt = self.loss_row_grad(X_tilde)
+        e_xt -= row[:, None] * X_tilde
+        e_xt *= -8.0 * mu
+        G += e_xt
+        return loss
+
 
 class CompensatedSum:
     """Neumaier compensated (Kahan-Babuska) scalar accumulator.
@@ -562,11 +579,7 @@ def minkowski_dists_blocked(
     for start in range(0, m, block):
         stop = min(start + block, m)
         diff = X[start:stop, None, :] - V[None, :, :]
-        if p == 2.0:
-            powed = diff * diff
-        else:
-            powed = np.abs(diff) ** p
-        out[start:stop] = powed @ alpha
+        out[start:stop] = np.abs(diff) ** p @ alpha
     return out
 
 
@@ -596,18 +609,51 @@ def minkowski_backward_blocked(
     for start in range(0, m, block):
         stop = min(start + block, m)
         diff = X[start:stop, None, :] - V[None, :, :]
-        if p == 2.0:
-            powed = diff * diff
-            deriv = diff
-        else:
-            absdiff = np.abs(diff)
-            powed = absdiff ** p
-            deriv = np.sign(diff) * absdiff ** (p - 1.0)
+        absdiff = np.abs(diff)
         Pb = P[start:stop]
-        grad_alpha -= np.einsum("mk,mkn->n", Pb, powed)
-        grad_V += np.einsum("mk,mkn->kn", Pb, deriv)
+        grad_alpha -= np.einsum("mk,mkn->n", Pb, absdiff ** p)
+        grad_V += np.einsum("mk,mkn->kn", Pb, np.sign(diff) * absdiff ** (p - 1.0))
     grad_V *= p * alpha[None, :]
     return grad_alpha, grad_V
+
+
+def minkowski_dists(
+    X: np.ndarray,
+    V: np.ndarray,
+    alpha: np.ndarray,
+    p: float,
+    *,
+    x_sq: Optional[np.ndarray] = None,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """The distance forward: ``d[i, k] = sum_n alpha_n |X[i, n] - V[k, n]|^p``.
+
+    :func:`weighted_sq_dists_gemm` at ``p = 2`` (``x_sq`` is its
+    optional precomputed ``X * X``), :func:`minkowski_dists_blocked`
+    otherwise.
+    """
+    if p == 2.0:
+        return weighted_sq_dists_gemm(X, V, alpha, x_sq=x_sq, out=out)
+    return minkowski_dists_blocked(X, V, alpha, p, out=out)
+
+
+def minkowski_backward(
+    P: np.ndarray,
+    X: np.ndarray,
+    V: np.ndarray,
+    alpha: np.ndarray,
+    p: float,
+    *,
+    x_sq: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The distance backward: ``(grad_alpha, grad_V)`` through ``d``.
+
+    :func:`sq_dist_backward` at ``p = 2``,
+    :func:`minkowski_backward_blocked` otherwise.
+    """
+    if p == 2.0:
+        return sq_dist_backward(P, X, V, alpha, x_sq=x_sq)
+    return minkowski_backward_blocked(P, X, V, alpha, p)
 
 
 class LandmarkFairness:
@@ -776,3 +822,10 @@ class LandmarkFairness:
         EtX *= w4
         G[idx] -= EtX
         return self.scale * acc.result, G
+
+    def add_grad(self, X_tilde: np.ndarray, G: np.ndarray, mu: float) -> float:
+        """Add ``mu * dL/dX_tilde`` into ``G``; returns the scaled loss."""
+        loss, g_fair = self.loss_and_grad_x(X_tilde)
+        g_fair *= mu
+        G += g_fair
+        return loss

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.kernels import weighted_sq_dists_rowstable
+from repro.utils.kernels import minkowski_dists_blocked, weighted_sq_dists_rowstable
 
 
 def softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -83,13 +83,12 @@ def weighted_minkowski_to_prototypes(
     X = np.asarray(X, dtype=np.float64)
     V = np.asarray(V, dtype=np.float64)
     alpha = np.asarray(alpha, dtype=np.float64)
+    # Both kernels are row-stable — chunked evaluation stays bitwise
+    # equal to one-shot — and neither builds an (m, k, n) tensor.
     if p == 2.0:
-        # Expanded-square kernel: no (m, k, n) tensor, and row-stable,
-        # so chunked evaluation stays bitwise equal to one-shot.
         d = weighted_sq_dists_rowstable(X, V, alpha)
     else:
-        diff = X[:, None, :] - V[None, :, :]
-        d = np.abs(diff) ** p @ alpha
+        d = minkowski_dists_blocked(X, V, alpha, p)
         np.maximum(d, 0.0, out=d)
     if root:
         d = d ** (1.0 / p)

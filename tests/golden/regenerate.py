@@ -3,10 +3,17 @@
 The golden corpus pins the iFair oracle's observable behaviour —
 loss, loss components, analytic gradient, transform output, and (for
 landmark mode) the selected anchors — for every fairness pair mode
-(``full``, ``sampled``, ``landmark``) and both kernel flavours, on
-small frozen inputs.  Cross-path equivalence then no longer depends
-only on in-process comparison: a regression in *either* path breaks
-against the committed numbers.
+(``full``, ``sampled``, ``landmark``) on small frozen inputs, so a
+regression of the oracle breaks against committed numbers, not just
+against an in-process comparison.
+
+Each case records a ``fast_kernels`` provenance field.  Cases marked
+``False`` are computed by the test oracle (``tests/oracle_reference.py``:
+einsum tensors, dense ``D*``), the others by the production objective;
+``tests/unit/test_golden_reference.py`` holds production to both.  The
+committed numbers date from when the objective itself had the two
+kernel flavours, so a re-run reproduces them within the tests' 1e-9,
+not bitwise.
 
 The inputs are derived from seeds but **stored verbatim** in the JSON
 (NumPy ``Generator`` streams are not guaranteed stable across feature
@@ -31,7 +38,9 @@ import sys
 import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "..", "src"))
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
 
+from oracle_reference import ReferenceObjective  # noqa: E402
 from repro.core.objective import IFairObjective  # noqa: E402
 
 OUT_PATH = os.path.join(os.path.dirname(__file__), "cases.json")
@@ -42,7 +51,8 @@ M, N, K = 14, 5, 3
 PROTECTED = [4]
 LAMBDA, MU = 1.25, 0.75
 
-# name -> objective kwargs beyond the shared ones.
+# name -> objective kwargs beyond the shared ones, plus the
+# ``fast_kernels`` provenance field (False: computed by the test oracle).
 CASES = {
     "full_p2_fast": dict(p=2.0, pair_mode="full", fast_kernels=True),
     "full_p2_reference": dict(p=2.0, pair_mode="full", fast_kernels=False),
@@ -79,14 +89,16 @@ CASES = {
 
 def build_case(name: str, kwargs: dict) -> dict:
     X = np.random.default_rng(20260727).normal(size=(M, N))
-    objective = IFairObjective(
+    params = {key: value for key, value in kwargs.items() if key != "fast_kernels"}
+    oracle = IFairObjective if kwargs["fast_kernels"] else ReferenceObjective
+    objective = oracle(
         X,
         PROTECTED,
         lambda_util=LAMBDA,
         mu_fair=MU,
         n_prototypes=K,
         random_state=11,
-        **kwargs,
+        **params,
     )
     theta = np.random.default_rng(424242).uniform(0.1, 0.9, size=objective.n_params)
     loss, grad = objective.loss_and_grad(theta)

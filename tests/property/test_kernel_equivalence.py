@@ -1,12 +1,14 @@
-"""Property tests: the GEMM fast path is exact-equivalent to the reference.
+"""Property tests: the production oracle is exact-equivalent to the reference.
 
-The iFair oracle has two kernel flavours — the GEMM fast kernels used
-by default for ``p == 2`` and the original einsum/tensor reference
-(``fast_kernels=False``, also the generic-``p`` path; row-blocked in
-landmark mode).  These tests pin them together at ``rtol = 1e-10``
-for the loss and the full gradient, across Minkowski exponents, all
-three pair modes (full / sampled / landmark), and protected sets, so
-any algebra drift in the kernels is caught immediately.
+The iFair oracle has one production path — GEMM distance kernels at
+``p == 2``, row-blocked Minkowski kernels otherwise, and the pair
+mode's fairness kernel (moment form / sparse scatter / blocked
+landmarks).  The test oracle in ``tests/oracle_reference.py`` evaluates
+the same formulas with ``(M, K, N)`` einsum tensors and a dense ``D*``.
+These tests pin the two together at ``rtol = 1e-10`` for the loss and
+the full gradient, across Minkowski exponents, all three pair modes
+(full / sampled / landmark), and protected sets, so any algebra drift
+in the kernels is caught immediately.
 
 Example budgets come from the Hypothesis profile registered in
 ``tests/conftest.py`` (``default``; ``HYPOTHESIS_PROFILE=nightly``
@@ -18,6 +20,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.objective import IFairObjective
+from repro.utils import kernels
+
+from oracle_reference import ReferenceObjective
 
 RTOL = 1e-10
 ATOL = 1e-10
@@ -34,7 +39,7 @@ def _pair_kwargs(pair_config, m):
 
 
 def _pair(X, protected, *, p, pair_config, lam=1.0, mu=1.0, k=3, seed=0):
-    """The same objective built with fast kernels and with the reference."""
+    """The same objective in production and as the test oracle."""
     kwargs = dict(
         lambda_util=lam,
         mu_fair=mu,
@@ -44,7 +49,7 @@ def _pair(X, protected, *, p, pair_config, lam=1.0, mu=1.0, k=3, seed=0):
         **_pair_kwargs(pair_config, X.shape[0]),
     )
     fast = IFairObjective(X, protected, **kwargs)
-    ref = IFairObjective(X, protected, fast_kernels=False, **kwargs)
+    ref = ReferenceObjective(X, protected, **kwargs)
     return fast, ref
 
 
@@ -128,11 +133,34 @@ class TestFastMatchesReference:
                 assert loss_fast == pytest.approx(loss_ref, rel=RTOL, abs=ATOL)
                 np.testing.assert_allclose(grad_fast, grad_ref, rtol=RTOL, atol=ATOL)
 
-    def test_fast_path_is_actually_selected(self, make_data):
+    def test_fast_path_is_actually_selected(self, make_data, monkeypatch):
+        """GEMM distance kernels at p = 2, row-blocked ones otherwise."""
+        calls = []
+        for name in (
+            "weighted_sq_dists_gemm",
+            "sq_dist_backward",
+            "minkowski_dists_blocked",
+            "minkowski_backward_blocked",
+        ):
+            original = getattr(kernels, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(kernels, name, spy)
         X = make_data(10, 4, seed=0)
-        assert IFairObjective(X, [3], n_prototypes=2)._use_fast
-        assert not IFairObjective(X, [3], n_prototypes=2, p=3.0)._use_fast
-        assert not IFairObjective(X, [3], n_prototypes=2, fast_kernels=False)._use_fast
+        for p, expected in (
+            (2.0, ["weighted_sq_dists_gemm", "sq_dist_backward"]),
+            (3.0, ["minkowski_dists_blocked", "minkowski_backward_blocked"]),
+        ):
+            for pair_config in (("full", None), ("sampled", 8), ("landmark", 4)):
+                objective = IFairObjective(
+                    X, [3], n_prototypes=2, p=p, **_pair_kwargs(pair_config, 10)
+                )
+                calls.clear()
+                objective.loss_and_grad(np.full(objective.n_params, 0.5))
+                assert calls == expected
 
     def test_workspace_reuse_is_stateless(self, make_data):
         """Calling the fast oracle repeatedly (as L-BFGS does) must not

@@ -23,7 +23,7 @@ from repro.core.objective import IFairObjective
 from repro.core.shards import ShardedLandmarkOracle, plan_shards
 
 
-def _landmark_objective(X, *, k=3, p=2.0, fast=True, seed=0, n_landmarks=8):
+def _landmark_objective(X, *, k=3, p=2.0, seed=0, n_landmarks=8):
     return IFairObjective(
         X,
         [X.shape[1] - 1],
@@ -31,7 +31,6 @@ def _landmark_objective(X, *, k=3, p=2.0, fast=True, seed=0, n_landmarks=8):
         p=p,
         pair_mode="landmark",
         n_landmarks=n_landmarks,
-        fast_kernels=fast,
         random_state=seed,
     )
 
@@ -100,7 +99,7 @@ class TestShardParity:
     def test_generic_p_blocked_kernels(self, seed):
         """The p != 2 path shards through the blocked Minkowski kernels."""
         X = _case(seed, m=18)
-        reference = _landmark_objective(X, p=3.0, fast=False, seed=seed)
+        reference = _landmark_objective(X, p=3.0, seed=seed)
         theta = np.random.default_rng(seed).uniform(
             0.1, 0.9, size=reference.n_params
         )

@@ -1,11 +1,16 @@
 """Golden-reference harness: the oracle vs the committed corpus.
 
 ``tests/golden/cases.json`` pins loss, components, gradient, transform
-and landmark selection for every pair mode and kernel flavour on
-frozen inputs (see ``tests/golden/regenerate.py``).  These tests
-rebuild each objective from the stored inputs and hold it to the
-stored numbers — so cross-path equivalence is anchored to committed
-history, not just to whatever both paths currently compute.
+and landmark selection for every pair mode on frozen inputs (see
+``tests/golden/regenerate.py``).  These tests rebuild each objective
+from the stored inputs and hold the one production oracle path to the
+stored numbers — so it is anchored to committed history, not just to
+whatever the code currently computes.
+
+Each case's ``fast_kernels`` field is provenance only: it records the
+kernel flavour (GEMM fast path or einsum reference) that computed the
+stored numbers when the oracle still had both.  Every case, whatever
+its flavour, must match the one production path.
 
 Tolerances: 1e-9 relative absorbs BLAS kernel differences across
 machines (observed drift is ~1e-13); the L = M landmark-vs-full
@@ -50,7 +55,7 @@ def _build(case):
         **{
             key: value
             for key, value in params.items()
-            if key not in ("m", "n")
+            if key not in ("m", "n", "fast_kernels")
         },
     )
     theta = np.asarray(case["theta"], dtype=np.float64)

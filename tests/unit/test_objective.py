@@ -1,11 +1,13 @@
 """Tests for repro.core.objective (forward pass and packing)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core.objective import IFairObjective, _triu_unravel
 from repro.exceptions import ValidationError
-from repro.utils.mathkit import pairwise_sq_euclidean
+from repro.utils import kernels
 
 
 @pytest.fixture
@@ -94,14 +96,10 @@ class TestForward:
         # with no protected attributes: target distances = full
         # distances, so a perfect reconstruction gives zero fair loss.
         X = rng.normal(size=(6, 3))
-        # The dense D* target matrix exists on the reference path only;
-        # the fast path keeps just its moments.
-        obj = IFairObjective(X, None, n_prototypes=2, fast_kernels=False)
-        # Simulate a perfect reconstruction by checking the loss formula
-        # directly with X_tilde = X.
-        d_tilde = pairwise_sq_euclidean(X)
-        err = d_tilde - obj._d_star
-        assert float(np.sum(err * err)) == pytest.approx(0.0)
+        obj = IFairObjective(X, None, n_prototypes=2)
+        # Simulate a perfect reconstruction by evaluating the fairness
+        # term directly at X_tilde = X.
+        assert obj._fair.loss(X) == pytest.approx(0.0)
 
     def test_sampled_pairs_subset_of_full(self, make_data, make_theta):
         X = make_data(10, 4)
@@ -117,7 +115,7 @@ class TestForward:
     def test_max_pairs_larger_than_total_is_capped(self, make_data):
         X = make_data(6, 3)
         obj = IFairObjective(X, None, n_prototypes=2, max_pairs=10_000)
-        assert obj._pairs[0].size == 6 * 5 // 2
+        assert obj.effective_pairs == 6 * 5 // 2
 
 
 class TestPairModes:
@@ -189,9 +187,24 @@ class TestPairModes:
 
     def test_landmark_never_builds_m_squared_state(self, make_objective):
         obj = make_objective(m=30, pair_mode="landmark", n_landmarks=6)
-        assert obj._d_star is None
-        assert obj._fair_full is None
-        assert obj._fair_landmark._d_star.shape == (30, 6)
+        assert isinstance(obj._fair, kernels.LandmarkFairness)
+        assert obj._fair._d_star.shape == (30, 6)
+
+
+class TestMemory:
+    def test_generic_p_full_pairs_build_no_m_squared_array(self):
+        """p != 2 full pairs run the moment form and the row-blocked
+        distance kernels: one (M, M) float64 array alone would be
+        128 MB at this M."""
+        X = np.random.default_rng(0).normal(size=(4000, 20))
+        tracemalloc.start()
+        try:
+            obj = IFairObjective(X, [19], n_prototypes=8, p=3.0, pair_mode="full")
+            obj.loss_and_grad(np.full(obj.n_params, 0.5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestTriuUnravel:
