@@ -3,7 +3,8 @@
 Times the operations every experiment and serving request funnels
 through — ``IFairObjective.loss_and_grad`` (full and sampled pairs at
 ``p = 2``, sampled pairs at ``p = 3``), ``IFair.fit``,
-``IFair.transform``, single-record serving latency, and
+``IFair.transform``, exact full-pair fits at M = 1e5 (and 1e6 in
+full runs), single-record serving latency, and
 the end-to-end hyper-parameter tuning loop (serial exhaustive vs
 process-parallel vs successive halving) — and appends one labelled
 entry to a JSON trajectory file (``BENCH_core.json`` by default).
@@ -309,18 +310,38 @@ def bench_load_rows(quick: bool) -> dict:
     return bench_load.bench_workers(quick=quick)
 
 
-def bench_sharded_rows(quick: bool) -> dict:
-    """Sharded landmark-oracle rows (PR 8), from :mod:`bench_sharded`.
+#: Exact full-pair fits at large M, in one process: N = 8, K = 4, one
+#: restart, 3 L-BFGS iterations.  The moment-form fairness kernel makes
+#: each oracle call O(M * N^2) with no (M, M) state.
+LARGE_M_ROWS = {100_000: "fit_full_M1e5_N8_K4", 1_000_000: "fit_full_M1e6_N8_K4"}
+LARGE_M_N, LARGE_M_K, LARGE_M_MAX_ITER = 8, 4, 3
 
-    Quick runs time the M = 100k sharded fit and the parity flag; full
-    runs add the M = 1,000,000 acceptance rows.
+
+def bench_large_m_fit(quick: bool) -> dict:
+    """One timed exact ``full`` fit per row: M = 1e5 always, 1e6 in full runs.
+
+    The M = 1e5 row has the same shape under quick and full runs, so it
+    gates.
     """
-    bench_dir = str(Path(__file__).resolve().parent)
-    if bench_dir not in sys.path:
-        sys.path.insert(0, bench_dir)
-    import bench_sharded
-
-    return bench_sharded.bench_sharded(quick=quick)
+    rows: dict = {}
+    for m, key in LARGE_M_ROWS.items():
+        if quick and m > 100_000:
+            continue
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(m, LARGE_M_N))
+        X[:, -1] = (rng.random(m) > 0.5).astype(float)
+        model = IFair(
+            n_prototypes=LARGE_M_K,
+            pair_mode="full",
+            n_restarts=1,
+            max_iter=LARGE_M_MAX_ITER,
+            random_state=0,
+        )
+        start = time.perf_counter()
+        model.fit(X, [LARGE_M_N - 1])
+        rows[f"{key}_s"] = time.perf_counter() - start
+        rows[f"{key}_loss"] = float(model.loss_)
+    return rows
 
 
 def bench_chaos_rows(quick: bool) -> dict:
@@ -616,9 +637,9 @@ GATE_LOWER_IS_BETTER = (
     # the measured duration differs), so they gate like the others.
     "load_workers1_p50_s",
     "load_workers2_p50_s",
-    # Sharded-oracle fit at M = 100k: quick and full runs use the
-    # identical shape (the M = 1e6 rows are full-run-only, not gated).
-    "m1e5_fit_s",
+    # Exact full-pair fit at M = 100k: quick and full runs use the
+    # identical shape (the M = 1e6 row is full-run-only, not gated).
+    "fit_full_M1e5_N8_K4_s",
 )
 
 #: Correctness flags that must never flip to false once recorded true
@@ -638,9 +659,6 @@ GATE_MUST_STAY_TRUE = (
     "workers2_rps_speedup_ok",
     "workers2_p99_ok",
     "reload_under_load_ok",
-    # Sharded oracle == single-process oracle (rtol 1e-10) AND bitwise
-    # n_jobs-independence at a fixed shard plan.
-    "sharded_parity_ok",
     # Chaos soak: zero non-shed errors / wrong answers under the
     # injected fault mix with reloads mid-chaos, and any shed answer
     # well-formed with the success p99 inside the retry envelope
@@ -743,8 +761,8 @@ def run(label: str, quick: bool, tune_jobs: int, trace_out=None) -> dict:
     entry.update(bench_fit(repeats))
     entry.update(bench_transform(repeats))
     entry.update(bench_serving(repeats))
+    entry.update(bench_large_m_fit(quick))
     entry.update(bench_load_rows(quick))
-    entry.update(bench_sharded_rows(quick))
     entry.update(bench_chaos_rows(quick))
     entry.update(bench_online_rows(quick))
     entry.update(bench_telemetry(repeats, trace_out=trace_out))
@@ -789,15 +807,6 @@ def main() -> None:
             "only measure the serving tier under concurrent HTTP load "
             "(workers=1 vs workers=2 + blue/green reload) and append "
             "the observed scaling entry"
-        ),
-    )
-    parser.add_argument(
-        "--sharded",
-        action="store_true",
-        help=(
-            "only measure the sharded landmark-oracle rows (M = 100k "
-            "fit + parity flag; with no --quick also the M = 1,000,000 "
-            "acceptance fits) and append the entry"
         ),
     )
     parser.add_argument(
@@ -853,17 +862,13 @@ def main() -> None:
             raise SystemExit(2)
         baseline_doc = json.loads(baseline_path.read_text())
 
-    single_mode = (
-        args.scaling or args.load or args.sharded or args.chaos or args.online
-    )
+    single_mode = args.scaling or args.load or args.chaos or args.online
     if single_mode:
         entry = _new_entry(args.label, args.quick)
         if args.scaling:
             entry.update(bench_tune_scaling(args.quick))
         if args.load:
             entry.update(bench_load_rows(args.quick))
-        if args.sharded:
-            entry.update(bench_sharded_rows(args.quick))
         if args.chaos:
             entry.update(bench_chaos_rows(args.quick))
         if args.online:
@@ -898,17 +903,6 @@ def main() -> None:
         import bench_load  # already on sys.path via bench_load_rows
 
         bench_load.print_summary(entry)
-    if "m1e5_fit_s" in entry:
-        sharded = (
-            f"sharded oracle: M=1e5 fit {entry['m1e5_fit_s']:.2f} s, "
-            f"parity {'OK' if entry['sharded_parity_ok'] else 'BROKEN'}"
-        )
-        if "m1e6_fit_s" in entry:
-            sharded += (
-                f"; M=1e6 fit {entry['m1e6_fit_s']:.2f} s, stochastic "
-                f"{entry['m1e6_stochastic_fit_s']:.2f} s"
-            )
-        print(sharded)
     if "chaos_rps" in entry:
         import bench_chaos  # already on sys.path via bench_chaos_rows
 
@@ -950,6 +944,15 @@ def _print_summary(entry: dict) -> None:
         f"pool {entry['fit_M400_N20_K8_r2_jobs2_warm_s'] * 1e3:.1f} ms "
         f"(serial {entry['fit_M400_N20_K8_r2_s'] * 1e3:.1f} ms), parity "
         f"{'OK' if entry['fit_warm_pool_parity'] else 'BROKEN'}"
+    )
+    print(
+        "exact full fit (N=8, K=4, 3 iterations): M=1e5 "
+        f"{entry['fit_full_M1e5_N8_K4_s']:.2f} s"
+        + (
+            f", M=1e6 {entry['fit_full_M1e6_N8_K4_s']:.2f} s"
+            if "fit_full_M1e6_N8_K4_s" in entry
+            else ""
+        )
     )
     print(
         "telemetry overhead: fit "

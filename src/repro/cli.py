@@ -301,46 +301,6 @@ def _add_pair_mode_flags(parser: argparse.ArgumentParser) -> None:
         default="kmeans++",
         help="landmark seeding strategy (default kmeans++)",
     )
-    parser.add_argument(
-        "--oracle-jobs",
-        type=int,
-        default=None,
-        metavar="J",
-        help=(
-            "worker processes per landmark-oracle call — row shards "
-            "evaluated in parallel, bitwise-identical results for any "
-            "value (default in-process, -1 = one per CPU)"
-        ),
-    )
-    parser.add_argument(
-        "--oracle-shards",
-        type=int,
-        default=None,
-        metavar="S",
-        help=(
-            "row-shard count per oracle call (default: the resolved "
-            "--oracle-jobs); fix it to pin results across worker counts"
-        ),
-    )
-    parser.add_argument(
-        "--batch-mode",
-        choices=("full", "stochastic"),
-        default="full",
-        help=(
-            "landmark-oracle batching: full (exact, default) or "
-            "stochastic mini-batches with deterministic batch streams"
-        ),
-    )
-    parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        metavar="B",
-        help=(
-            "rows per stochastic oracle call (requires "
-            "--batch-mode stochastic; B = M reduces to the full path)"
-        ),
-    )
 
 
 def _add_tuning_flags(parser: argparse.ArgumentParser) -> None:
@@ -399,18 +359,6 @@ def _check_pair_mode_args(args) -> None:
             raise ReproError("--landmarks requires --pair-mode landmark")
         if args.landmark_method != "kmeans++":
             raise ReproError("--landmark-method requires --pair-mode landmark")
-        if args.oracle_jobs is not None:
-            raise ReproError("--oracle-jobs requires --pair-mode landmark")
-        if args.oracle_shards is not None:
-            raise ReproError("--oracle-shards requires --pair-mode landmark")
-        if args.batch_mode != "full":
-            raise ReproError("--batch-mode requires --pair-mode landmark")
-        if args.batch_size is not None:
-            raise ReproError("--batch-size requires --pair-mode landmark")
-    if args.batch_size is not None and args.batch_mode != "stochastic":
-        raise ReproError("--batch-size requires --batch-mode stochastic")
-    if args.batch_mode == "stochastic" and args.batch_size is None:
-        raise ReproError("--batch-mode stochastic requires --batch-size")
 
 
 def _config(args) -> ExperimentConfig:
@@ -425,10 +373,6 @@ def _config(args) -> ExperimentConfig:
             pair_mode=args.pair_mode,
             n_landmarks=args.landmarks,
             landmark_method=args.landmark_method,
-            oracle_jobs=args.oracle_jobs,
-            oracle_shards=args.oracle_shards,
-            batch_mode=args.batch_mode,
-            batch_size=args.batch_size,
         )
     if (
         args.tune_jobs is not None
@@ -482,10 +426,6 @@ def _cmd_fit_save(args) -> int:
         pair_mode=args.pair_mode,
         n_landmarks=args.landmarks,
         landmark_method=args.landmark_method,
-        oracle_jobs=args.oracle_jobs,
-        oracle_shards=args.oracle_shards,
-        batch_mode=args.batch_mode,
-        batch_size=args.batch_size,
         n_jobs=args.fit_jobs,
         pool=args.pool,
         tune=args.tune,

@@ -34,7 +34,6 @@ from repro.core.executor import (
     get_state,
 )
 from repro.core.objective import PAIR_MODES, IFairObjective
-from repro.core.shards import SHARD_BATCH_MODES, ShardedLandmarkOracle
 from repro.exceptions import NotFittedError, ValidationError
 from repro.learners.base import ParamsMixin
 from repro.telemetry.metrics import get_registry
@@ -93,18 +92,13 @@ _ORACLE_PARAM_KEYS = (
 )
 
 
-def _oracle_cache_key(state: dict, row_range: Optional[tuple] = None) -> Optional[tuple]:
+def _oracle_cache_key(state: dict) -> Optional[tuple]:
     """Content-stable cache key for the fit oracle, or None.
 
     Only available when the training matrix arrived as a shared-memory
     broadcast: the segment name then identifies its bytes (names are
-    never reused within a process).  The key also carries the **row
-    range** the oracle covers — the full matrix for restart tasks
-    (derived from the segment's shape), an explicit ``(start, stop)``
-    for row-sharded evaluations — so two oracles over overlapping but
-    unequal row ranges of the same segment can never serve each other
-    stale precomputations.  Unhashable parameter values (arrays)
-    disable caching rather than mis-keying it.
+    never reused within a process).  Unhashable parameter values
+    (arrays) disable caching rather than mis-keying it.
     """
     handle = get_shared_handles().get("X")
     if handle is None:
@@ -112,11 +106,8 @@ def _oracle_cache_key(state: dict, row_range: Optional[tuple] = None) -> Optiona
     params = state["params"]
     values = tuple(params.get(key) for key in _ORACLE_PARAM_KEYS)
     protected = state["protected"]
-    if row_range is None:
-        row_range = (0, int(handle.shape[0]))
     key = (
         handle.name,
-        (int(row_range[0]), int(row_range[1])),
         None if protected is None else tuple(protected),
         values,
     )
@@ -233,31 +224,8 @@ class IFair(ParamsMixin):
         draw (remaining restarts keep their seeds).  This is how
         successive-halving tuning resumes a survivor from its
         previous-rung fit.
-    oracle_jobs:
-        Workers evaluating **row shards of one oracle call** (the
-        large-M axis; requires ``pair_mode="landmark"``).  ``None``/1
-        evaluates shards in-process, ``-1`` uses one worker per CPU.
-        Mutually exclusive with restart parallelism (``n_jobs``): the
-        worker pool serves shards, so restarts run sequentially in the
-        parent.  Results are bitwise identical at any value for a
-        fixed ``oracle_shards``.
-    oracle_shards:
-        Number of row-range shards per oracle evaluation (default: the
-        resolved ``oracle_jobs`` count).  Fixing it pins the reduction
-        tree, making results independent of the worker count.
-    batch_mode:
-        ``"full"`` (default) evaluates every row per oracle call;
-        ``"stochastic"`` draws ``batch_size`` rows per call from
-        deterministic spawn-key RNG streams — an unbiased estimate of
-        the M/L-scaled landmark loss that reduces exactly to the full
-        sharded path at ``batch_size = M``.  Requires
-        ``pair_mode="landmark"``.
-    batch_size:
-        Rows per stochastic oracle call (required for, and only valid
-        with, ``batch_mode="stochastic"``).
     random_state:
-        Master seed: spawns per-restart seeds, the pair subsample, and
-        the stochastic batch streams.
+        Master seed: spawns per-restart seeds and the pair subsample.
 
     Attributes
     ----------
@@ -294,10 +262,6 @@ class IFair(ParamsMixin):
         backend: str = "process",
         pool: str = "per-call",
         warm_start_theta: Optional[np.ndarray] = None,
-        oracle_jobs: Optional[int] = None,
-        oracle_shards: Optional[int] = None,
-        batch_mode: str = "full",
-        batch_size: Optional[int] = None,
         random_state: RandomStateLike = 0,
     ):
         if init not in ("random", "protected_zero"):
@@ -324,40 +288,6 @@ class IFair(ParamsMixin):
             raise ValidationError(
                 f"pool must be one of {POOL_MODES}, got {pool!r}"
             )
-        if batch_mode not in SHARD_BATCH_MODES:
-            raise ValidationError(
-                f"batch_mode must be one of {SHARD_BATCH_MODES}, got {batch_mode!r}"
-            )
-        if oracle_jobs is not None and (oracle_jobs == 0 or oracle_jobs < -1):
-            raise ValidationError(
-                "oracle_jobs must be None, -1, or a positive integer"
-            )
-        if oracle_shards is not None and oracle_shards < 1:
-            raise ValidationError("oracle_shards must be at least 1")
-        if batch_mode == "stochastic" and batch_size is None:
-            raise ValidationError("batch_mode='stochastic' requires batch_size")
-        if batch_size is not None:
-            if batch_mode != "stochastic":
-                raise ValidationError(
-                    "batch_size only applies to batch_mode='stochastic'"
-                )
-            if batch_size < 1:
-                raise ValidationError("batch_size must be a positive integer")
-        sharded = (
-            oracle_jobs is not None
-            or oracle_shards is not None
-            or batch_mode != "full"
-        )
-        if sharded and pair_mode != "landmark":
-            raise ValidationError(
-                "oracle_jobs/oracle_shards/batch_mode require pair_mode='landmark'"
-            )
-        if sharded and n_jobs is not None and n_jobs != 1:
-            raise ValidationError(
-                "the sharded oracle owns the worker pool: restart "
-                "parallelism (n_jobs) cannot combine with "
-                "oracle_jobs/oracle_shards/batch_mode"
-            )
         self.n_prototypes = int(n_prototypes)
         self.lambda_util = float(lambda_util)
         self.mu_fair = float(mu_fair)
@@ -379,10 +309,6 @@ class IFair(ParamsMixin):
             if warm_start_theta is None
             else np.asarray(warm_start_theta, dtype=np.float64).ravel()
         )
-        self.oracle_jobs = oracle_jobs
-        self.oracle_shards = oracle_shards
-        self.batch_mode = batch_mode
-        self.batch_size = None if batch_size is None else int(batch_size)
         self.random_state = random_state
 
         self.prototypes_: Optional[np.ndarray] = None
@@ -424,28 +350,15 @@ class IFair(ParamsMixin):
         ), blas.limit(1):
             return self._fit_inner(X, workers, use_process)
 
-    def _uses_sharded_oracle(self) -> bool:
-        """Whether this fit evaluates the oracle through row shards."""
-        return self.pair_mode == "landmark" and (
-            self.oracle_jobs is not None
-            or self.oracle_shards is not None
-            or self.batch_mode != "full"
-        )
-
     def _fit_inner(
         self, X: np.ndarray, workers: int, use_process: bool
     ) -> "IFair":
-        sharded = self._uses_sharded_oracle()
         # The process path never evaluates the oracle parent-side:
         # construct it deferred (validation and shape bookkeeping only)
         # and let the workers build — or reuse from their cache — the
         # expensive support structures.  Serial and thread paths
         # optimise this very object, so they precompute as always.
-        # The sharded path also defers: the oracle coordinator builds
-        # its own (shard-shaped) support, never the objective's.
-        objective = self._build_objective(
-            X, precompute=not (use_process or sharded)
-        )
+        objective = self._build_objective(X, precompute=not use_process)
         self.landmarks_ = objective.landmark_indices
         seeds = spawn_seeds(self.random_state, self.n_restarts)
         bounds = self._bounds(objective)
@@ -456,9 +369,7 @@ class IFair(ParamsMixin):
                 f"warm_start_theta must have {objective.n_params} entries, "
                 f"got {self.warm_start_theta.size}"
             )
-        if sharded:
-            outcomes = self._restarts_sharded(objective, bounds, seeds)
-        elif use_process:
+        if use_process:
             outcomes = self._restarts_process(objective.X, seeds, workers)
         elif workers > 1:
             # Thread escape hatch: the objective's workspace buffers
@@ -528,37 +439,6 @@ class IFair(ParamsMixin):
         parallel fits runs the outer level wide, the inner serial).
         """
         return effective_n_jobs(self.n_jobs, limit=self.n_restarts)
-
-    def _restarts_sharded(
-        self, objective: IFairObjective, bounds, seeds: List[int]
-    ) -> List[Tuple[RestartRecord, np.ndarray]]:
-        """Run restarts sequentially over the sharded landmark oracle.
-
-        The worker pool (``oracle_jobs``) parallelises *within* each
-        L-BFGS evaluation — row shards of one oracle call — so the
-        restarts themselves run in the parent.  The oracle's batch
-        stream rewinds before every restart, making each restart (and
-        therefore the best-of-N selection) independent of how many
-        restarts ran before it.
-        """
-        get_registry().counter("fit_sharded_total").inc()
-        oracle = ShardedLandmarkOracle(
-            objective,
-            n_shards=self.oracle_shards,
-            n_jobs=self.oracle_jobs,
-            pool=self.pool,
-            batch_mode=self.batch_mode,
-            batch_size=self.batch_size,
-            random_state=self.random_state,
-        )
-        with oracle:
-            outcomes = []
-            for index, seed in enumerate(seeds):
-                oracle.reset_batches()
-                outcomes.append(
-                    self._run_restart(oracle, bounds, seed, index=index)
-                )
-        return outcomes
 
     def _restarts_process(
         self, X: np.ndarray, seeds: List[int], workers: int

@@ -19,7 +19,6 @@ from typing import Optional, Tuple
 
 from repro.core.executor import POOL_MODES, effective_n_jobs
 from repro.core.objective import PAIR_MODES
-from repro.core.shards import SHARD_BATCH_MODES
 from repro.core.tuning import (
     MIXTURE_GRID,
     PROMOTE_MODES,
@@ -55,20 +54,6 @@ class ExperimentConfig:
         default, min(M, 128)).
     landmark_method:
         ``"kmeans++"`` or ``"farthest"`` anchor seeding.
-    oracle_jobs:
-        Workers evaluating row shards of one landmark-oracle call
-        (``None``/1 in-process, ``-1`` per CPU).  Requires
-        ``pair_mode="landmark"``; see
-        :class:`repro.core.shards.ShardedLandmarkOracle`.
-    oracle_shards:
-        Shard count per oracle call (default: the resolved
-        ``oracle_jobs``); fixing it pins results across worker counts.
-    batch_mode:
-        ``"full"`` (default) or ``"stochastic"`` — mini-batch landmark
-        oracle with deterministic spawn-key batch streams.
-    batch_size:
-        Rows per stochastic oracle call (required with, and only
-        valid for, ``batch_mode="stochastic"``).
     tune_jobs:
         Candidate fits of the tuning protocol run on this many worker
         processes (``None``/1 serial, ``-1`` per CPU).  Results are
@@ -121,10 +106,6 @@ class ExperimentConfig:
     pair_mode: str = "auto"
     n_landmarks: Optional[int] = None
     landmark_method: str = "kmeans++"
-    oracle_jobs: Optional[int] = None
-    oracle_shards: Optional[int] = None
-    batch_mode: str = "full"
-    batch_size: Optional[int] = None
     tune_jobs: Optional[int] = None
     tune_strategy: str = "exhaustive"
     tune_pool: str = "per-call"
@@ -156,32 +137,6 @@ class ExperimentConfig:
             )
         if self.n_landmarks is not None and self.n_landmarks < 1:
             raise ValidationError("n_landmarks must be positive")
-        if self.batch_mode not in SHARD_BATCH_MODES:
-            raise ValidationError(
-                f"batch_mode must be one of {SHARD_BATCH_MODES}"
-            )
-        effective_n_jobs(self.oracle_jobs)  # validates the knob's range
-        if self.oracle_shards is not None and self.oracle_shards < 1:
-            raise ValidationError("oracle_shards must be positive")
-        if self.batch_mode == "stochastic" and self.batch_size is None:
-            raise ValidationError('batch_mode="stochastic" needs batch_size')
-        if self.batch_size is not None:
-            if self.batch_mode != "stochastic":
-                raise ValidationError(
-                    'batch_size requires batch_mode="stochastic"'
-                )
-            if self.batch_size < 1:
-                raise ValidationError("batch_size must be positive")
-        sharded = (
-            self.oracle_jobs is not None
-            or self.oracle_shards is not None
-            or self.batch_mode != "full"
-        )
-        if sharded and self.pair_mode != "landmark":
-            raise ValidationError(
-                "oracle_jobs/oracle_shards/batch_mode/batch_size require "
-                'pair_mode="landmark"'
-            )
         effective_n_jobs(self.tune_jobs)  # validates the knob's range
         if self.tune_strategy not in TUNING_STRATEGIES:
             raise ValidationError(

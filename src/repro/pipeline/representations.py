@@ -221,10 +221,6 @@ class IFairMethod(RepresentationMethod):
             pair_mode=str(self.params.get("pair_mode", "auto")),
             n_landmarks=self.params.get("n_landmarks"),
             landmark_method=str(self.params.get("landmark_method", "kmeans++")),
-            oracle_jobs=self.params.get("oracle_jobs"),
-            oracle_shards=self.params.get("oracle_shards"),
-            batch_mode=str(self.params.get("batch_mode", "full")),
-            batch_size=self.params.get("batch_size"),
             n_jobs=self.params.get("n_jobs"),
             backend=str(self.params.get("backend", "process")),
             warm_start_theta=self.params.get("warm_start_theta"),
@@ -263,10 +259,6 @@ class IFairMethod(RepresentationMethod):
                 point["pair_mode"] = "landmark"
                 point["n_landmarks"] = config.n_landmarks
                 point["landmark_method"] = config.landmark_method
-                point["oracle_jobs"] = config.oracle_jobs
-                point["oracle_shards"] = config.oracle_shards
-                point["batch_mode"] = config.batch_mode
-                point["batch_size"] = config.batch_size
             elif config.pair_mode != "auto":
                 point["pair_mode"] = config.pair_mode
                 if config.pair_mode == "full":

@@ -1,13 +1,10 @@
 """Chaos fault plane for the serving tier.
 
-PR 8 proved fault-injection testing on the training side with a
-one-shot env hook (``REPRO_SHARD_FAULT``): kill the worker holding one
-shard and assert the refit is bitwise identical.  This module
-generalises that discipline to the serving tier, where failures are
-user-visible.  A :class:`ChaosPlane` lives **inside each engine
-worker** and injects faults at the worker's pipe boundary — the exact
-seam the dispatcher's resilience layer (deadlines, reroutes, breaker)
-must cover:
+Failures in the serving tier are user-visible, so its resilience
+layer is tested by injecting them on purpose.  A :class:`ChaosPlane`
+lives **inside each engine worker** and injects faults at the
+worker's pipe boundary — the exact seam the dispatcher's resilience
+layer (deadlines, reroutes, breaker) must cover:
 
 ``crash``
     the worker ``os._exit``\\ s before answering — the parent sees a
@@ -38,8 +35,8 @@ variable::
 Probabilities are per-request and drawn from a per-worker
 deterministic stream when ``seed`` is set.  ``crash_once``/
 ``hang_once`` name token files: the first worker to atomically remove
-the token fires that fault exactly once fleet-wide — the serving twin
-of PR 8's shard-fault token, used by the hung-worker regression test.
+the token fires that fault exactly once fleet-wide — a one-shot fault
+for regression tests such as the hung-worker one.
 
 Because every fault either delays a reply or destroys the worker
 before/instead of replying — never after mutating anything a response

@@ -261,8 +261,6 @@ class InferenceEngine:
         Seconds the micro-batch leader waits for followers.  The
         default 0 adds no latency; raise it (e.g. to 0.002) to trade
         latency for throughput under heavy concurrency.
-    micro_batch:
-        Disable to bypass the batcher entirely (diagnostics only).
     """
 
     def __init__(
@@ -272,7 +270,6 @@ class InferenceEngine:
         batch_size: int = 256,
         cache_size: int = 4096,
         max_batch_delay: float = 0.0,
-        micro_batch: bool = True,
     ):
         if batch_size < 1:
             raise ValidationError("batch_size must be a positive integer")
@@ -295,7 +292,6 @@ class InferenceEngine:
                 "serving_coalesced_requests_total"
             ),
         )
-        self._micro_batch = bool(micro_batch)
         self._requests = self.registry.counter("serving_requests_total")
         self._records = self.registry.counter("serving_records_total")
         self._latency: Dict[str, object] = {
@@ -381,9 +377,7 @@ class InferenceEngine:
         self._requests.inc()
         self._records.inc(X.shape[0])
         if self._cache.capacity == 0:  # skip per-row hashing entirely
-            if self._micro_batch:
-                return self._batcher.submit(X)
-            return self._represent(X)
+            return self._batcher.submit(X)
         keys = self._keys(X)
         Z = np.empty((X.shape[0], self.artifact.n_features))
         miss_rows: List[int] = []
@@ -394,11 +388,7 @@ class InferenceEngine:
             else:
                 Z[i] = cached
         if miss_rows:
-            X_miss = X[miss_rows]
-            if self._micro_batch:
-                Z_miss = self._batcher.submit(X_miss)
-            else:
-                Z_miss = self._represent(X_miss)
+            Z_miss = self._batcher.submit(X[miss_rows])
             for j, i in enumerate(miss_rows):
                 Z[i] = Z_miss[j]
                 self._cache.put(keys[i], Z_miss[j].copy())

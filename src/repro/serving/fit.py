@@ -145,10 +145,6 @@ def fit_serving_pipeline(
     pair_mode: str = "auto",
     n_landmarks: Optional[int] = None,
     landmark_method: str = "kmeans++",
-    oracle_jobs: Optional[int] = None,
-    oracle_shards: Optional[int] = None,
-    batch_mode: str = "full",
-    batch_size: Optional[int] = None,
     criterion: str = "parity",
     scorer_l2: float = 1.0,
     n_jobs: Optional[int] = None,
@@ -169,10 +165,6 @@ def fit_serving_pipeline(
     classification verb).  ``pair_mode="landmark"`` switches the
     fairness oracle to the large-M landmark approximation (and drops
     the default pair subsample, which only applies to ``sampled``).
-    ``oracle_jobs``/``oracle_shards``/``batch_mode``/``batch_size``
-    enable the sharded (and optionally stochastic) landmark oracle —
-    see :class:`repro.core.shards.ShardedLandmarkOracle`; they are
-    mutually exclusive with ``n_jobs`` restart parallelism.
 
     ``n_jobs``/``backend`` parallelise the fit's restarts; ``tune``
     grid-searches the mixture coefficients first (see module
@@ -201,10 +193,6 @@ def fit_serving_pipeline(
         "pair_mode": pair_mode,
         "n_landmarks": n_landmarks,
         "landmark_method": landmark_method,
-        "oracle_jobs": oracle_jobs,
-        "oracle_shards": oracle_shards,
-        "batch_mode": batch_mode,
-        "batch_size": batch_size,
         "n_jobs": n_jobs,
         "backend": backend,
         "pool": pool,

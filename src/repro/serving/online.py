@@ -199,6 +199,10 @@ class OnlineController:
         self._tap_lock = threading.Lock()
         self._data_lock = threading.Lock()
         self._refit_lock = threading.Lock()
+        # Guards the refit outcome — the counters above, _last_result
+        # and _last_error — so status() sees them change together.  It
+        # is held only to publish or read, never across a refit.
+        self._publish_lock = threading.Lock()
         self._window: Deque[np.ndarray] = deque(
             maxlen=self.policy.refresh_window
         )
@@ -259,8 +263,9 @@ class OnlineController:
             try:
                 self.step()
             except Exception as exc:  # chaos-safe: the loop never dies
-                self._failures.inc()
-                self._last_error = repr(exc)
+                with self._publish_lock:
+                    self._failures.inc()
+                    self._last_error = repr(exc)
                 _LOG.warning(
                     "online control tick failed", extra={"error": repr(exc)}
                 )
@@ -433,10 +438,6 @@ class OnlineController:
             backend="process",
             pool="per-call",
             warm_start_theta=None,
-            oracle_jobs=None,
-            oracle_shards=None,
-            batch_mode="full",
-            batch_size=None,
         )
         model = IFair(**params)
         # Seed the warm-start chain from the served weights: the first
@@ -469,6 +470,7 @@ class OnlineController:
                 self._pending.clear()
             start = time.perf_counter()
             tracer = get_tracer()
+            refitted = reloaded = False
             try:
                 with tracer.span(
                     "serving.online.refit",
@@ -507,7 +509,7 @@ class OnlineController:
                         },
                     )
                     save_artifact(path, refreshed)
-                    self._refits.inc()
+                    refitted = True
                     answer: Dict = {
                         "status": "refitted",
                         "reason": reason,
@@ -520,30 +522,55 @@ class OnlineController:
                     reload_fn = getattr(self.engine, "reload", None)
                     if callable(reload_fn):
                         with tracer.span("serving.online.reload", version=self._version):
-                            reloaded = reload_fn(path)
-                        self._reloads.inc()
+                            reply = reload_fn(path)
+                        reloaded = True
                         answer["reload"] = "ok"
-                        answer["checksum"] = reloaded.get("checksum")
+                        answer["checksum"] = reply.get("checksum")
                     self._rebaseline()
-                    self._last_error = None
-                    self._last_result = answer
+                    self._publish(
+                        answer, None, refitted=True, reloaded=reloaded, failed=False
+                    )
                     return answer
             except Exception as exc:
                 # Chaos safety: a failed refit/reload must never reach
                 # the serving path.  Count it, remember it, move on —
                 # the workers keep answering on the current model.
-                self._failures.inc()
-                self._last_error = repr(exc)
                 _LOG.warning(
                     "online refit failed",
                     extra={"reason": reason, "error": repr(exc)},
                 )
                 failure = {"status": "failed", "reason": reason, "error": repr(exc)}
-                self._last_result = failure
+                self._publish(
+                    failure,
+                    repr(exc),
+                    refitted=refitted,
+                    reloaded=reloaded,
+                    failed=True,
+                )
                 return failure
             finally:
                 self._last_refit_at = time.monotonic()
                 self._refit_seconds.observe(time.perf_counter() - start)
+
+    def _publish(
+        self,
+        result: Dict,
+        error: Optional[str],
+        *,
+        refitted: bool,
+        reloaded: bool,
+        failed: bool,
+    ) -> None:
+        """Make one refit's outcome visible to :meth:`status` at once."""
+        with self._publish_lock:
+            if refitted:
+                self._refits.inc()
+            if reloaded:
+                self._reloads.inc()
+            if failed:
+                self._failures.inc()
+            self._last_result = result
+            self._last_error = error
 
     def _rebaseline(self) -> None:
         """Re-anchor over the current window and reset the baseline.
@@ -593,6 +620,12 @@ class OnlineController:
                 self.policy.cooldown_s
                 - (time.monotonic() - self._last_refit_at),
             )
+        with self._publish_lock:
+            refits = int(self._refits.value)
+            reloads = int(self._reloads.value)
+            failures = int(self._failures.value)
+            last_result = self._last_result
+            last_error = self._last_error
         return {
             "enabled": True,
             "running": self._thread is not None,
@@ -606,11 +639,11 @@ class OnlineController:
             "shift": self._shift if self._baseline_cost is not None else None,
             "drift_flagged": self._drift_flagged(),
             "shift_flagged": self._shift_flagged(),
-            "refits": int(self._refits.value),
-            "reloads": int(self._reloads.value),
-            "failures": int(self._failures.value),
+            "refits": refits,
+            "reloads": reloads,
+            "failures": failures,
             "version": self._version,
             "cooldown_remaining_s": cooldown_remaining,
-            "last_result": self._last_result,
-            "last_error": self._last_error,
+            "last_result": last_result,
+            "last_error": last_error,
         }

@@ -1,8 +1,7 @@
 r"""Kernels of the iFair oracle: one distance path, three fairness terms.
 
-Both the iFair objective (:mod:`repro.core.objective`) and the sharded
-landmark oracle (:mod:`repro.core.shards`) spend almost all of their
-time on the record-prototype distance matrix
+The iFair objective (:mod:`repro.core.objective`) spends almost all of
+its time on the record-prototype distance matrix
 ``d[i, k] = sum_n alpha_n |x_in - v_kn|^p`` and its gradients.  Only
 this distance depends on the Minkowski exponent ``p``; the fairness
 term is squared-Euclidean on :math:`\tilde X` for every ``p``.  So the
@@ -84,7 +83,6 @@ from scipy import sparse
 __all__ = [
     "Workspace",
     "CompensatedSum",
-    "neumaier_tree_reduce",
     "weighted_sq_dists_gemm",
     "weighted_sq_dists_rowstable",
     "softmax_neg_inplace",
@@ -490,56 +488,6 @@ class CompensatedSum:
     def result(self) -> float:
         """The compensated total."""
         return self._total + self._compensation
-
-
-def _neumaier_pair(
-    s1: np.ndarray, c1: np.ndarray, s2: np.ndarray, c2: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Combine two compensated partial sums (Neumaier, elementwise)."""
-    total = s1 + s2
-    # The residual of the addition, recovered from whichever operand
-    # dominates — the elementwise form of CompensatedSum.add.
-    residual = np.where(
-        np.abs(s1) >= np.abs(s2), (s1 - total) + s2, (s2 - total) + s1
-    )
-    return total, c1 + c2 + residual
-
-
-def neumaier_tree_reduce(terms) -> np.ndarray:
-    """Fixed-order compensated binary-tree sum of same-shaped arrays.
-
-    Reduces ``terms`` (a non-empty sequence of arrays or scalars,
-    broadcast to float64) pairwise in index order — ``(t0 + t1) +
-    (t2 + t3)`` and so on — carrying an elementwise Neumaier
-    compensation term through every node.  Two properties matter to
-    the sharded oracle:
-
-    * the error stays ``O(eps)`` regardless of how many partial sums
-      are combined or how their magnitudes cancel;
-    * the reduction tree depends only on ``len(terms)``, never on
-      which worker produced which term or when it arrived — so a
-      gradient reduced over shard results is bitwise identical at any
-      ``n_jobs``.
-
-    Returns a fresh array of the common shape (0-d for scalar input).
-    """
-    nodes = []
-    for term in terms:
-        total = np.asarray(term, dtype=np.float64)
-        nodes.append((total, np.zeros_like(total)))
-    if not nodes:
-        raise ValueError("neumaier_tree_reduce needs at least one term")
-    while len(nodes) > 1:
-        merged = []
-        for i in range(0, len(nodes) - 1, 2):
-            s1, c1 = nodes[i]
-            s2, c2 = nodes[i + 1]
-            merged.append(_neumaier_pair(s1, c1, s2, c2))
-        if len(nodes) % 2:
-            merged.append(nodes[-1])
-        nodes = merged
-    total, compensation = nodes[0]
-    return total + compensation
 
 
 # Transient block buffers are capped at this many float64 elements

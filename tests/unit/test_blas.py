@@ -233,45 +233,3 @@ def test_fit_bitwise_equal_across_n_jobs(m, n, k, max_iter, clean_pools):
         serial, parallel = fit(1), fit(2)
     assert np.array_equal(serial.theta_, parallel.theta_)
     assert serial.loss_ == parallel.loss_
-
-
-@SHAPES
-def test_sharded_fit_bitwise_equal_across_oracle_jobs(m, n, k, max_iter, clean_pools):
-    X = np.random.default_rng(6).normal(size=(m, n))
-
-    def fit(oracle_jobs):
-        return IFair(
-            n_prototypes=k,
-            pair_mode="landmark",
-            n_landmarks=16,
-            n_restarts=1,
-            max_iter=max_iter,
-            oracle_jobs=oracle_jobs,
-            oracle_shards=2,
-            pool="session",
-            random_state=3,
-        ).fit(X, [n - 1])
-
-    with blas.limit(2):
-        in_process, workers = fit(1), fit(2)
-    assert np.array_equal(in_process.theta_, workers.theta_)
-    assert in_process.loss_ == workers.loss_
-
-
-def test_standalone_sharded_oracle_matches_its_workers(clean_pools):
-    """Without an enclosing fit, in-process shards run at one thread too."""
-    from repro.core.objective import IFairObjective
-    from repro.core.shards import ShardedLandmarkOracle
-
-    X = np.random.default_rng(7).normal(size=(2000, 40))
-    objective = IFairObjective(
-        X, [39], n_prototypes=10, pair_mode="landmark", n_landmarks=64
-    )
-    theta = np.random.default_rng(8).uniform(0.1, 0.9, size=objective.n_params)
-    in_process = ShardedLandmarkOracle(objective, n_shards=2, n_jobs=1)
-    with blas.limit(2):
-        loss_1, grad_1 = in_process.loss_and_grad(theta)
-        with ShardedLandmarkOracle(objective, n_shards=2, n_jobs=2) as workers:
-            loss_2, grad_2 = workers.loss_and_grad(theta)
-    assert loss_1 == loss_2
-    assert np.array_equal(grad_1, grad_2)

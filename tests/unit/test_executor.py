@@ -18,6 +18,7 @@ from repro.core.executor import (
     run_tasks,
 )
 from repro.exceptions import ValidationError
+from repro.telemetry.metrics import get_registry
 from repro.utils.shm import leaked_segments
 
 
@@ -151,8 +152,15 @@ class TestCrashRecovery:
                 os._exit(13)
             return i * 10
 
+        registry = get_registry()
+        respawns = registry.counter("executor_worker_respawns_total")
+        retries = registry.counter("executor_task_retries_total")
+        respawns_before, retries_before = respawns.value, retries.value
         out = run_tasks(crash_once, [0, 1, 2, 3], n_jobs=2)
         assert out == [0, 10, 20, 30]
+        # Every task killed its worker once: one respawn and one retry each.
+        assert respawns.value - respawns_before == 4
+        assert retries.value - retries_before == 4
 
     def test_persistent_crash_raises_after_retries(self):
         with pytest.raises(WorkerCrashError) as excinfo:

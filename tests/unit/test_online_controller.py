@@ -215,6 +215,7 @@ def test_failed_reload_is_contained(dataset, artifact_dir):
     assert result["status"] == "failed"
     assert "worker storm" in result["error"]
     status = controller.status()
+    assert status["refits"] == 1  # the refit itself succeeded
     assert status["failures"] == 1
     assert status["reloads"] == 0
     assert status["last_error"] is not None
@@ -223,6 +224,48 @@ def test_failed_reload_is_contained(dataset, artifact_dir):
     _feed(controller, dataset.X[32:48])
     assert controller.trigger()["status"] == "refitted"
     assert controller.status()["last_error"] is None
+
+
+class StatusProbingEngine(FakeEngine):
+    """Reads the controller's status from inside ``reload``, as an
+    HTTP poller of ``GET /v1/admin/online`` can while a refit runs."""
+
+    def __init__(self, artifact_path, **kwargs):
+        super().__init__(artifact_path, **kwargs)
+        self.controller = None
+        self.seen = []
+
+    def reload(self, path):
+        self.seen.append(self.controller.status())
+        return super().reload(path)
+
+
+def _outcome_is_consistent(status):
+    """The counters a poller sees describe the last_result it sees."""
+    last = status["last_result"]
+    if last is None:
+        return status["refits"] == status["reloads"] == status["failures"] == 0
+    return last["version"] == status["refits"] == status["reloads"]
+
+
+def test_status_during_reload_matches_last_result(dataset, artifact_dir):
+    """Mid-refit, status() shows the previous refit's counters and
+    result together — never a counted refit whose result is unset."""
+    engine = StatusProbingEngine(artifact_dir)
+    controller = _controller(engine, artifact_dir, policy="monitor")
+    engine.controller = controller
+    engine.drift = True
+    _feed(controller, dataset.X[:32])
+    assert controller.step()["status"] == "refitted"
+    _feed(controller, dataset.X[32:64])
+    assert controller.trigger()["status"] == "refitted"
+    assert len(engine.seen) == 2
+    assert all(_outcome_is_consistent(status) for status in engine.seen)
+    assert engine.seen[0]["last_result"] is None
+    assert engine.seen[1]["last_result"]["version"] == 1
+    final = controller.status()
+    assert _outcome_is_consistent(final)
+    assert final["refits"] == final["reloads"] == 2
 
 
 def test_trigger_without_rows_is_skipped(artifact_dir):

@@ -41,10 +41,6 @@ IFAIR_PARAM_KEYS = [
     "backend",
     "pool",
     "warm_start_theta",
-    "oracle_jobs",
-    "oracle_shards",
-    "batch_mode",
-    "batch_size",
     "random_state",
 ]
 
