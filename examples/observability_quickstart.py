@@ -126,9 +126,9 @@ def main():
 
     # --- 4. per-worker series from the multi-process tier --------------
     # Two forked engine workers attach the same shm-published model;
-    # each response ships the worker's metrics delta back to the
-    # parent, which relabels it with worker="<i>" — so one scrape
-    # shows who actually served what.
+    # the scrape pulls each worker's metrics delta to the parent,
+    # which relabels it with worker="<i>" — so one scrape shows who
+    # actually served what.
     with tempfile.TemporaryDirectory() as tmp:
         artifact_dir = save_artifact(f"{tmp}/compas", artifact)
         service = serve_artifact(artifact_dir, port=0, workers=2)

@@ -65,7 +65,7 @@ CHAOS_ENV = "REPRO_CHAOS"
 CHAOS_EXIT_CODE = 23
 
 #: Sent instead of the real reply by the ``corrupt`` fault — a frame
-#: the dispatcher's ``(kind, status, body, telemetry)`` unpack rejects.
+#: the dispatcher's ``(kind, status, body)`` unpack rejects.
 CORRUPT_FRAME = ("chaos-corrupt-frame",)
 
 _PROBABILITY_FIELDS = ("crash", "hang", "slow", "corrupt")

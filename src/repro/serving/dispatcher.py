@@ -15,17 +15,24 @@ the same ingredients the fit-time executor uses
   :class:`~repro.utils.shm.ShmArena` and workers attach read-only
   views, so the model is never pickled per worker and N workers map
   the same physical pages;
-* **telemetry deltas** — each response ships the worker's registry
-  delta and trace spans back on the pipe (the PR 6 snapshot-delta
-  pattern); the parent folds them into one registry under a
-  ``worker="<i>"`` label, so ``GET /v1/metrics`` stays in-process and
-  still exposes per-worker series.
+* **telemetry pulled on read** — data-plane replies carry only the
+  answer.  ``stats``, ``metrics_text`` and ``drift_flags`` (the
+  ``/v1/stats`` and ``/v1/metrics`` reads and the online controller's
+  drift check) ping each live worker once; the ping reply carries the
+  worker's registry delta and trace spans since its previous ping or
+  reload reply, and the parent folds them into one registry under a
+  ``worker="<i>"`` label.  A read waits at most ``_PULL_WAIT_S`` for a
+  busy worker and skips it after that, so it cannot hang behind a
+  stuck request; the skipped delta comes in with the next read.  A
+  worker that dies loses only the worker-labelled counts not yet
+  pulled, while the parent's own ``serving_dispatch_requests_total``
+  counts every answer.
 
 HTTP handler threads stay thin: ``do_POST`` hands the *raw body bytes*
 to :meth:`EngineDispatcher.handle_http`, which picks the least-loaded
 worker (round-robin tie-break) and waits on that worker's pipe; JSON
-decode/encode happens inside the worker, off the parent's GIL.  GET
-endpoints never cross a pipe.
+decode/encode happens inside the worker, off the parent's GIL.
+``GET /v1/health`` never crosses a pipe.
 
 Resilience (PR 9) — the dispatcher answers *definitively* even when
 workers crash, hang, or corrupt their pipe:
@@ -110,6 +117,9 @@ _FLIP_TIMEOUT_S = 30.0
 #: The probe waits this long for a respawned worker's first ping — it
 #: covers the engine build from the shm spec.
 _PING_TIMEOUT_S = 30.0
+#: A telemetry pull waits this long for a busy worker's request lock
+#: before it skips that worker until the next read.
+_PULL_WAIT_S = 0.05
 
 
 class DispatchError(ReproError):
@@ -219,10 +229,12 @@ def _serving_worker_main(
 ) -> None:
     """Engine-worker loop: build from the spec, answer until ``None``.
 
-    Replies are ``(kind, a, b, telemetry)`` tuples where telemetry is
-    the executor-style ``(metrics_delta, spans)`` pair (or ``None``)
-    accumulated since the previous reply.  ``("ping",)`` messages are
-    the probe's liveness/readiness check.  When ``chaos`` is enabled,
+    Data-plane replies are ``("http", status, body)``.  ``("ping",)``
+    and ``("load", spec)`` replies are ``(kind, a, b, telemetry)``,
+    where telemetry is the executor-style ``(metrics_delta, spans)``
+    pair (or ``None``) accumulated since the previous such reply.
+    Pings are the probe's liveness/readiness check and the parent's
+    telemetry pull.  When ``chaos`` is enabled,
     a :class:`~repro.serving.chaos.ChaosPlane` may crash/hang/slow/
     corrupt data-plane replies — admin messages are never faulted.
     """
@@ -269,6 +281,10 @@ def _serving_worker_main(
                 break
             kind = message[0]
             if kind == "ping":
+                if engine is not None:
+                    engine.registry.gauge("serving_cache_entries").set(
+                        len(engine._cache)
+                    )
                 conn.send(("ping", True, None, telemetry_delta()))
                 continue
             if kind == "load":
@@ -297,13 +313,10 @@ def _serving_worker_main(
                     ("http", 503,
                      json.dumps(
                          {"error": error, "retry_after_s": 1.0, "worker": index}
-                     ).encode("utf-8"),
-                     telemetry_delta())
+                     ).encode("utf-8"))
                 )
                 continue
-            status, body = _answer(engine, path, raw)
-            engine.registry.gauge("serving_cache_entries").set(len(engine._cache))
-            conn.send(("http", status, body, telemetry_delta()))
+            conn.send(("http", *_answer(engine, path, raw)))
     except (EOFError, OSError, KeyboardInterrupt):  # parent went away
         pass
     # Shared segments stay mapped until process exit (see _spec_arrays).
@@ -799,8 +812,7 @@ class EngineDispatcher:
                     with self._pick_lock:
                         worker.pending -= 1
                 if outcome[0] == "ok":
-                    _, status, body, telemetry = outcome
-                    self._ingest(worker.index, telemetry)
+                    _, status, body = outcome
                     self._requests.inc()
                     self._latency.observe(time.perf_counter() - start)
                     return int(status), body
@@ -830,7 +842,7 @@ class EngineDispatcher:
     ):
         """One send/receive on one worker.
 
-        Returns ``("ok", status, body, telemetry)`` or
+        Returns ``("ok", status, body)`` or
         ``("fault", kind)`` after taking the slot out of rotation; the
         caller decides whether to reroute.
         """
@@ -860,8 +872,7 @@ class EngineDispatcher:
                         self._kill_locked(worker)
                         self._on_death_locked(worker, "deadline")
                         return ("fault", "deadline")
-                reply = worker.conn.recv()
-                kind, status, body, telemetry = reply
+                kind, status, body = worker.conn.recv()
                 if kind != "http":
                     raise ValueError(f"unexpected worker frame kind {kind!r}")
             except (BrokenPipeError, EOFError, OSError):
@@ -874,7 +885,32 @@ class EngineDispatcher:
                 self._kill_locked(worker)
                 self._on_death_locked(worker, "corrupt-frame")
                 return ("fault", "corrupt-frame")
-        return ("ok", status, body, telemetry)
+        return ("ok", status, body)
+
+    def _pull(self) -> None:
+        """Ingest every live worker's telemetry delta with one ping each.
+
+        A worker whose request lock stays taken for ``_PULL_WAIT_S``
+        (a long request, or one hung with ``deadline_s=None``) is
+        skipped; its delta comes in with the next read.  A worker that
+        fails the ping is dead or wedged and leaves rotation, as after
+        a failed request.
+        """
+        with self._pick_lock:
+            workers = [w for w in self._workers if w.alive]
+        for worker in workers:
+            if not worker.lock.acquire(timeout=_PULL_WAIT_S):
+                continue
+            try:
+                if (
+                    worker.alive
+                    and not self._stopped
+                    and not self._ping_locked(worker)
+                ):
+                    self._kill_locked(worker)
+                    self._on_death_locked(worker, "pull-ping")
+            finally:
+                worker.lock.release()
 
     def _ingest(self, index: int, telemetry) -> None:
         """Fold a worker's telemetry delta in under its worker label."""
@@ -1055,11 +1091,12 @@ class EngineDispatcher:
         """Fairness drift verdict reduced across worker processes.
 
         Each worker's engine publishes its monitor's ``fairness_drift``
-        gauge (1.0 when any drift flag is up); the dispatcher sees them
-        relabelled per worker in its merged registry.  ``any`` is true
+        gauge (1.0 when any drift flag is up); the dispatcher pulls them
+        relabelled per worker into its merged registry.  ``any`` is true
         when at least one live window flags — the per-dimension detail
         stays worker-local, which is all the online controller needs.
         """
+        self._pull()
         snapshot = self.registry.snapshot()
         flagged = any(
             float(value) >= 1.0
@@ -1076,7 +1113,9 @@ class EngineDispatcher:
         respawns, reloads, per-worker request counts) plus a
         ``resilience`` block (deadline kills, shed, breaker state).
         Window-local fairness state stays per worker and is not merged.
+        Pulls each live worker's telemetry first (see :meth:`_pull`).
         """
+        self._pull()
         snapshot = self.registry.snapshot()
         hits = sum_counter(snapshot, "serving_cache_hits_total")
         misses = sum_counter(snapshot, "serving_cache_misses_total")
@@ -1137,7 +1176,11 @@ class EngineDispatcher:
         }
 
     def metrics_text(self) -> str:
-        """Prometheus text: merged worker series + dispatcher + library."""
+        """Prometheus text: merged worker series + dispatcher + library.
+
+        Pulls each live worker's telemetry first (see :meth:`_pull`).
+        """
+        self._pull()
         self.registry.gauge("serving_uptime_seconds").set(self.uptime_s)
         self.registry.gauge("serving_workers").set(self.n_workers)
         return prometheus_text(

@@ -214,6 +214,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-serving/1"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: a reply goes out as a header write and a body write.
+    # With Nagle on, a keep-alive connection holds the body until the
+    # client's delayed ACK fires, about 40 ms per request.
+    disable_nagle_algorithm = True
 
     def _reply(
         self,

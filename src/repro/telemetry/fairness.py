@@ -24,10 +24,20 @@ edge of either flag.
 Metrics are cached per window state; the O(window²) consistency kernel
 reruns only when new records arrived since the last call, so frequent
 ``/v1/stats`` polling is cheap.
+
+The monitor is shared by every request thread of an engine.  Appends
+to the window are atomic, so each record's features, group and
+decision stay aligned.  Checks are **single-flight**: at most one runs
+at a time, outside the append lock.  A check that comes due while
+another runs waits for it, then runs only if records arrived that the
+finished check did not cover.  So a check runs every ``check_every``
+records whatever the load, and the work per record does not depend on
+how requests interleave.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import deque
 from typing import Dict, List, Optional, Sequence
 
@@ -69,6 +79,9 @@ class FairnessMonitor:
         many new records accumulated since the last computation;
         between refreshes :meth:`drift_flags` answers from the cache,
         so the serving hot path never pays the consistency kernel.
+        Checks are single-flight (see the module docstring): under
+        concurrent load a check still runs every ``check_every``
+        records, one at a time.
     registry:
         Optional registry that receives ``fairness_*`` gauges on every
         metrics refresh (the engine passes its own).
@@ -111,6 +124,12 @@ class FairnessMonitor:
         self._cached_at = -1
         self._baseline: Optional[Dict] = None
         self._flagged = False
+        # _lock keeps the three window deques and _seen aligned and is
+        # held only for appends and snapshots.  _check_lock lets one
+        # check run at a time; it is re-entrant because observe()
+        # holds it while its check runs through metrics().
+        self._lock = threading.Lock()
+        self._check_lock = threading.RLock()
 
     def observe(
         self,
@@ -126,28 +145,38 @@ class FairnessMonitor:
             raise ValidationError(
                 "observe needs matching X rows, groups and decisions"
             )
-        for row, group, decision in zip(X, groups, decisions):
-            self._rows.append(row)
-            self._groups.append(group)
-            self._decisions.append(float(decision))
-        self._seen += X.shape[0]
-        if self._seen - self._last_check >= self.check_every:
-            self._last_check = self._seen
-            self.metrics()
+        with self._lock:
+            for row, group, decision in zip(X, groups, decisions):
+                self._rows.append(row)
+                self._groups.append(group)
+                self._decisions.append(float(decision))
+            self._seen += X.shape[0]
+            due = self._seen - self._last_check >= self.check_every
+        if not due:
+            return
+        # Wait for a running check rather than skip this one: the
+        # number of checks then follows the record count, not the
+        # request timing.
+        with self._check_lock:
+            with self._lock:
+                due = self._seen - self._last_check >= self.check_every
+            if due:
+                self.metrics()
 
     @property
     def n_seen(self) -> int:
         """Total records observed (window holds the last ``window``)."""
         return self._seen
 
-    def _compute(self) -> Dict:
-        rows = np.asarray(self._rows, dtype=np.float64)
-        decisions = np.asarray(self._decisions, dtype=np.float64)
-        groups = list(self._groups)
+    def _compute(
+        self, rows: List, groups: List, decisions: List, seen: int
+    ) -> Dict:
+        rows = np.asarray(rows, dtype=np.float64)
+        decisions = np.asarray(decisions, dtype=np.float64)
         n = rows.shape[0]
         metrics: Dict = {
             "window_records": n,
-            "records_seen": self._seen,
+            "records_seen": seen,
             "consistency": None,
             "decision_rates": {},
             "rate_gap": None,
@@ -175,25 +204,40 @@ class FairnessMonitor:
         return metrics
 
     def metrics(self) -> Dict:
-        """Current window metrics + baseline + drift flags (cached)."""
-        if self._cached is None or self._cached_at != self._seen:
-            current = self._compute()
-            if (
-                self._baseline is None
-                and current["window_records"] >= self.min_records
-            ):
-                self._baseline = {
-                    "consistency": current["consistency"],
-                    "rate_gap": current["rate_gap"],
-                    "records_seen": self._seen,
-                }
-            current["baseline"] = self._baseline
-            current["drift"] = self._drift_flags(current)
-            self._publish(current)
-            self._warn_on_rising_edge(current)
-            self._cached = current
-            self._cached_at = self._seen
-        return dict(self._cached)
+        """Current window metrics + baseline + drift flags (cached).
+
+        Waits for a check that is already running instead of starting
+        a second one, then recomputes only if records arrived since.
+        """
+        with self._check_lock:
+            with self._lock:
+                seen = self._seen
+                stale = self._cached is None or self._cached_at != seen
+                if stale:
+                    self._last_check = seen
+                    window = (
+                        list(self._rows),
+                        list(self._groups),
+                        list(self._decisions),
+                    )
+            if stale:
+                current = self._compute(*window, seen)
+                if (
+                    self._baseline is None
+                    and current["window_records"] >= self.min_records
+                ):
+                    self._baseline = {
+                        "consistency": current["consistency"],
+                        "rate_gap": current["rate_gap"],
+                        "records_seen": seen,
+                    }
+                current["baseline"] = self._baseline
+                current["drift"] = self._drift_flags(current)
+                self._publish(current)
+                self._warn_on_rising_edge(current)
+                self._cached = current
+                self._cached_at = seen
+            return dict(self._cached)
 
     def _drift_flags(self, current: Dict) -> Dict:
         flags = {"consistency_drift": False, "rate_drift": False, "any": False}
@@ -261,7 +305,8 @@ class FairnessMonitor:
 
     def reset_baseline(self) -> None:
         """Forget the baseline; the next full window freezes a new one."""
-        self._baseline = None
-        self._flagged = False
-        self._cached = None
-        self._cached_at = -1
+        with self._check_lock:
+            self._baseline = None
+            self._flagged = False
+            self._cached = None
+            self._cached_at = -1

@@ -380,7 +380,7 @@ def sum_gauge(snapshot: Dict, name: str) -> float:
 def relabel_snapshot(snapshot: Optional[Dict], labels: Mapping[str, str]) -> Dict:
     """Fold ``labels`` into every metric key of ``snapshot``.
 
-    The serving dispatcher ships each engine worker's registry delta
+    The serving dispatcher pulls each engine worker's registry delta
     back to the parent and merges it under a ``worker="<i>"`` label, so
     one ``/v1/metrics`` scrape exposes per-worker series while the
     unlabeled totals remain derivable by summing over the label.  Keys

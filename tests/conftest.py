@@ -7,6 +7,7 @@ and invariants, not statistical power.  Benchmark-scale runs live in
 Besides the dataset fixtures, this module provides the seeded
 *factory* fixtures (``make_data``, ``make_objective``, ``make_theta``,
 ``make_kernel_case``) that replace per-file copy-pasted array setup,
+the ``keep_alive_median_rtt`` probe shared by both serving tiers' tests,
 and registers the Hypothesis profiles: ``default`` for interactive and
 CI runs, ``nightly`` (selected via ``HYPOTHESIS_PROFILE=nightly``) for
 the scheduled high-budget property sweep.
@@ -14,7 +15,10 @@ the scheduled high-budget property sweep.
 
 from __future__ import annotations
 
+import http.client
 import os
+import statistics
+import time
 
 import numpy as np
 import pytest
@@ -145,6 +149,33 @@ def tiny_credit():
 @pytest.fixture(scope="session")
 def tiny_xing():
     return generate_xing(n_queries=4, candidates_per_query=15, random_state=3)
+
+
+@pytest.fixture
+def keep_alive_median_rtt():
+    """Median round trip of sequential POSTs on one keep-alive connection.
+
+    ``HTTPClient`` opens a connection per call; reusing one is what
+    load balancers and long-lived callers do, and what exposes a reply
+    held back by Nagle's algorithm until the delayed ACK.
+    """
+
+    def measure(address, path, body, n=30):
+        conn = http.client.HTTPConnection(*address, timeout=10.0)
+        rtts = []
+        try:
+            for _ in range(n):
+                start = time.perf_counter()
+                conn.request("POST", path, body=body)
+                response = conn.getresponse()
+                response.read()
+                rtts.append(time.perf_counter() - start)
+                assert response.status == 200
+        finally:
+            conn.close()
+        return statistics.median(rtts)
+
+    return measure
 
 
 @pytest.fixture

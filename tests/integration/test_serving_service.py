@@ -5,6 +5,8 @@ client (both built on the shared ``dispatch``), so a divergence between
 the two request paths fails loudly.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,14 @@ class TestEndpoints:
         assert local.rank(records, top_k=3) == remote.rank(records, top_k=3)
         assert local.decide(records, groups) == remote.decide(records, groups)
 
+    def test_keep_alive_requests_answer_in_milliseconds(
+        self, service, records, keep_alive_median_rtt
+    ):
+        # With Nagle on, each reply's body waited ~40 ms for the
+        # client's delayed ACK.
+        body = json.dumps({"records": records}).encode("utf-8")
+        assert keep_alive_median_rtt(service.address, "/v1/score", body) < 0.020
+
 
 class TestErrors:
     def test_unknown_endpoint_404(self, client):
@@ -154,7 +164,6 @@ class TestFreshProcessRoundTrip:
     ):
         """A saved artifact reloaded in a *fresh interpreter* reproduces
         transform output exactly (the acceptance criterion)."""
-        import json
         import os
         import subprocess
         import sys

@@ -123,3 +123,18 @@ def test_eight_threads_match_serial_engine_across_reload(
         assert health["artifact_checksum"] == checksum
     finally:
         service.stop()
+
+
+def test_keep_alive_requests_answer_in_milliseconds(
+    tiny_compas, artifact_dir, keep_alive_median_rtt
+):
+    # With Nagle on, each reply's body waited ~40 ms for the client's
+    # delayed ACK, on this tier as on the in-process one.
+    body = json.dumps({"records": tiny_compas.X[:10].tolist()}).encode("utf-8")
+    service = serve_artifact(artifact_dir, port=0, workers=2)
+    service.start()
+    try:
+        median = keep_alive_median_rtt(service.address, "/v1/score", body)
+    finally:
+        service.stop()
+    assert median < 0.020

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ReproError, ValidationError
+from repro.serving import dispatcher as dispatcher_module
 from repro.serving import (
     AdmissionError,
     ArtifactError,
@@ -134,6 +135,60 @@ class TestTelemetry:
         assert stats["workers"]["n"] == 2
         assert stats["workers"]["alive"] == 2
         assert "score" in stats["endpoints"]
+
+    def test_one_read_pulls_counts_from_every_worker(self, artifact_dir, records):
+        # Replies carry no telemetry: the read itself pings each worker.
+        dispatcher = EngineDispatcher(
+            load_artifact(artifact_dir), n_workers=2, cache_size=256
+        )
+        try:
+            for _ in range(6):
+                dispatcher.score(records)
+            stats = dispatcher.stats()
+            assert stats["requests"] == 6
+            assert stats["records"] == 6 * len(records)
+            # Both workers cached the same records; each sets its
+            # cache gauge when it answers the pull.
+            assert stats["cache_entries"] == 2 * len(records)
+            text = dispatcher.metrics_text()
+            for index in range(2):
+                assert f'serving_requests_total{{worker="{index}"}}' in text
+        finally:
+            dispatcher.stop()
+
+    def test_read_skips_a_worker_stuck_mid_request(
+        self, artifact_dir, records, tmp_path
+    ):
+        token = tmp_path / "hang-token"
+        dispatcher = EngineDispatcher(
+            load_artifact(artifact_dir),
+            n_workers=2,
+            cache_size=0,
+            chaos=ChaosConfig(hang_once=str(token), hang_s=1.5),
+        )
+        try:
+            dispatcher.score(records)
+            token.write_text("armed")
+            stuck = threading.Thread(target=dispatcher.score, args=(records,))
+            stuck.start()
+            deadline = time.monotonic() + 10.0
+            while token.exists() and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert not token.exists()  # a worker is now hung mid-request
+            start = time.perf_counter()
+            text = dispatcher.metrics_text()
+            elapsed = time.perf_counter() - start
+            # deadline_s=None: only the pull bound keeps the read from
+            # waiting out the hang.
+            assert elapsed < dispatcher_module._PULL_WAIT_S + 0.5
+            assert stuck.is_alive()
+            assert "serving_requests_total" in text
+            stuck.join(timeout=10.0)
+            assert not stuck.is_alive()
+            # The skipped worker's delta comes in with the next read.
+            assert dispatcher.stats()["requests"] == 2
+        finally:
+            dispatcher.stop()
 
     def test_health_surface(self, dispatcher, artifact_dir):
         # The duck-typed engine surface dispatch() reads for /v1/health.

@@ -210,3 +210,108 @@ def test_drift_warning_fires_once_per_rising_edge(caplog, monkeypatch):
         r for r in caplog.records if "fairness drift detected" in r.getMessage()
     ]
     assert len(warnings) == 1
+
+
+def test_concurrent_observers_keep_rows_aligned_and_check_single_flight(
+    monkeypatch,
+):
+    """Request threads share one monitor: every window entry keeps its
+    own features, group and decision, and at most one O(window²) check
+    runs at a time."""
+    import sys
+    import threading
+    import time
+
+    from repro.telemetry import fairness
+
+    flight = {"now": 0, "peak": 0}
+    flight_lock = threading.Lock()
+
+    def slow_consistency(X, y, k):
+        with flight_lock:
+            flight["now"] += 1
+            flight["peak"] = max(flight["peak"], flight["now"])
+        time.sleep(0.05)
+        with flight_lock:
+            flight["now"] -= 1
+        return 1.0
+
+    monkeypatch.setattr(fairness, "consistency", slow_consistency)
+    n_threads, batches, batch = 4, 3, 64  # more threads than CI cores
+    total = n_threads * batches * batch
+    monitor = FairnessMonitor([1], window=total, check_every=batch)
+    barrier = threading.Barrier(n_threads)
+
+    def observer(tag):
+        barrier.wait()
+        for _ in range(batches):
+            monitor.observe(
+                np.full((batch, 2), float(tag)),
+                np.full(batch, tag),
+                np.full(batch, tag),
+            )
+
+    threads = [
+        threading.Thread(target=observer, args=(tag,))
+        for tag in range(n_threads)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the threads' appends
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+
+    assert flight["peak"] == 1
+    assert monitor.n_seen == total
+    for row, group, decision in zip(
+        monitor._rows, monitor._groups, monitor._decisions
+    ):
+        assert row[0] == group == decision
+    metrics = monitor.metrics()
+    assert metrics["records_seen"] == metrics["window_records"] == total
+
+
+def test_check_due_during_another_waits_for_it_and_runs(monkeypatch):
+    """The number of checks follows the record count, not the timing:
+    a check that comes due while another runs waits for it and then
+    covers the records that check did not see."""
+    import threading
+
+    from repro.telemetry import fairness
+
+    started, release = threading.Event(), threading.Event()
+    checked = []
+
+    def gated_consistency(X, y, k):
+        checked.append(X.shape[0])
+        if len(checked) == 1:
+            started.set()
+            release.wait(10.0)
+        return 1.0
+
+    monkeypatch.setattr(fairness, "consistency", gated_consistency)
+    monitor = FairnessMonitor([1], window=1024, check_every=64)
+
+    def batch(tag):
+        return np.full((64, 2), float(tag)), np.zeros(64), np.zeros(64)
+
+    first = threading.Thread(target=monitor.observe, args=batch(0))
+    first.start()
+    assert started.wait(10.0)
+    second = threading.Thread(target=monitor.observe, args=batch(1))
+    second.start()
+    second.join(timeout=0.2)
+    assert second.is_alive()  # waiting for the running check
+    release.set()
+    first.join(timeout=10.0)
+    second.join(timeout=10.0)
+    assert not first.is_alive() and not second.is_alive()
+
+    assert checked == [64, 128]
+    assert monitor.metrics()["records_seen"] == 128
+    assert checked == [64, 128]  # metrics() answered from the cache
