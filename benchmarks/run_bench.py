@@ -150,10 +150,11 @@ def bench_landmark(repeats: int, quick: bool) -> dict:
     """Landmark oracle at large M against the exact full-pair oracle.
 
     At ``M = 20,000`` a dense full-pair target would be an (M, M)
-    float64 matrix (3.2 GB).  The moment-form full-pair oracle runs in
-    O(M * N^2) at every ``p`` and provides the exact fairness value the
-    landmark rows are scored against (``landmark*_fair_rel_err``), so
-    each entry records the accuracy-vs-cost frontier of the mode.
+    float64 matrix (3.2 GB).  The K-space full-pair oracle runs in
+    O(M * K * (N* + K)) at every ``p`` and provides the exact fairness
+    value the landmark rows are scored against
+    (``landmark*_fair_rel_err``), so each entry records the
+    accuracy-vs-cost frontier of the mode.
     """
     m = 4000 if quick else 20_000
     rng = np.random.default_rng(5)
@@ -163,7 +164,7 @@ def bench_landmark(repeats: int, quick: bool) -> dict:
 
     exact = IFairObjective(
         X, PROTECTED, n_prototypes=K, random_state=0
-    )  # moment-form full pair
+    )  # exact full pair, K-space kernel
     _, fair_exact = exact.loss_components(theta)
     _time_oracle(timings, "loss_and_grad_full_fast_largeM_s", exact, theta, repeats)
 
@@ -181,7 +182,7 @@ def bench_landmark(repeats: int, quick: bool) -> dict:
         timings[f"landmark{n_land}_fair_rel_err"] = abs(fair_lm - fair_exact) / fair_exact
 
     # Generic p: row-blocked distance kernels (no (M, K, N) tensor)
-    # under the same moment-form and landmark fairness kernels.
+    # under the same K-space and landmark fairness kernels.
     exact_p3 = IFairObjective(X, PROTECTED, n_prototypes=K, p=3.0, random_state=0)
     _, fair_exact_p3 = exact_p3.loss_components(theta)
     _time_oracle(timings, "loss_and_grad_full_p3_largeM_s", exact_p3, theta, repeats)
@@ -311,8 +312,8 @@ def bench_load_rows(quick: bool) -> dict:
 
 
 #: Exact full-pair fits at large M, in one process: N = 8, K = 4, one
-#: restart, 3 L-BFGS iterations.  The moment-form fairness kernel makes
-#: each oracle call O(M * N^2) with no (M, M) state.
+#: restart, 3 L-BFGS iterations.  The K-space fairness kernel makes
+#: each oracle call O(M * K * (N* + K)) with no (M, M) state.
 LARGE_M_ROWS = {100_000: "fit_full_M1e5_N8_K4", 1_000_000: "fit_full_M1e6_N8_K4"}
 LARGE_M_N, LARGE_M_K, LARGE_M_MAX_ITER = 8, 4, 3
 

@@ -54,7 +54,8 @@ kernels of :mod:`repro.utils.kernels`:
   otherwise — no ``(M, K, N)`` tensor at any ``p``;
 * the pair mode's fairness kernel adds its loss and
   :math:`\mu\,\partial L_{fair} / \partial \tilde X` into ``G`` from
-  one place (``add_grad``).
+  one place (``add_grad``), handed :math:`\tilde X` and its factors
+  ``U`` and ``V``.
 
 The large ``(M, K)`` and ``(M, N)`` intermediates live in a
 thread-local workspace reused across L-BFGS evaluations.  The einsum
@@ -66,9 +67,11 @@ Pair modes (large-M fairness oracle)
 ------------------------------------
 ``pair_mode`` selects how the fairness term sums record pairs:
 
-* ``"full"`` — every ordered pair, in moment form
-  (:class:`repro.utils.kernels.FullPairFairness`): ``O(M * N^2)`` per
-  call and no ``(M, M)`` matrix, at every ``p``.
+* ``"full"`` — every ordered pair, in centred K-space form on the
+  memberships ``U`` and prototypes ``V``
+  (:class:`repro.utils.kernels.FullPairFairness`):
+  ``O(M * K * (N* + K))`` per call and no ``(M, M)`` matrix, at every
+  ``p``.
 * ``"sampled"`` — ``max_pairs`` unordered pairs drawn once at
   construction, gathered and scattered through a sparse incidence
   operator (:class:`repro.utils.kernels.PairScatter`,
@@ -145,7 +148,7 @@ class IFairObjective:
         Seeds the pair subsample and the landmark selection only.
     precompute:
         ``True`` (default) builds the oracle's support structures
-        (pair subsample, landmark selection, moment statistics) at
+        (pair subsample, landmark selection, centred ``X*``) at
         construction.  ``False`` defers them until the first loss
         evaluation: every parameter is still validated eagerly, so a
         parent process can construct-and-validate the oracle cheaply
@@ -321,8 +324,7 @@ class IFairObjective:
         self._X_sq = self.X * self.X if self.p == 2.0 else None
         X_star = self.X[:, self.nonprotected]
         if self.pair_mode == "full":
-            # Moment form: O(M + N^2) precomputed X* statistics, no
-            # (M, M) target matrix.
+            # Centred X* and its Gram norm; no (M, M) target matrix.
             self._fair = kernels.FullPairFairness(X_star)
         elif self.pair_mode == "sampled":
             rng = check_random_state(random_state)
@@ -432,10 +434,11 @@ class IFairObjective:
     def loss_components(self, theta: np.ndarray) -> Tuple[float, float]:
         """(L_util, L_fair) at ``theta`` — unweighted by lambda/mu."""
         V, alpha = self.unpack(theta)
-        X_tilde = self.transform(V, alpha)
+        U = self.memberships(V, alpha)
+        X_tilde = U @ V
         resid = self.X - X_tilde
         l_util = float(np.sum(resid * resid))
-        return l_util, self._fair.loss(X_tilde)
+        return l_util, self._fair.loss(X_tilde, U, V)
 
     def loss(self, theta: np.ndarray) -> float:
         """Combined objective L(theta) of Definition 6."""
@@ -468,7 +471,7 @@ class IFairObjective:
 
         # dL/dX_tilde from both loss terms.
         G = np.multiply(2.0 * self.lambda_util, resid, out=ws.take("g", (m, n)))
-        l_fair = self._fair.add_grad(X_tilde, G, self.mu_fair)
+        l_fair = self._fair.add_grad(X_tilde, U, V, G, self.mu_fair)
         loss = self.lambda_util * l_util + self.mu_fair * l_fair
 
         # Through X_tilde = U V (grad_V before P overwrites C's buffer).

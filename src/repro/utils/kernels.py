@@ -48,15 +48,19 @@ results do not depend on the batch height.
 Fairness terms
 --------------
 Each pair mode of the objective has one fairness kernel, and all three
-share one interface: ``loss(X_tilde)`` returns the term, and
-``add_grad(X_tilde, G, mu)`` adds ``mu * dL_fair/dX_tilde`` into ``G``
-and returns the term.
+share one call shape on the transform :math:`\tilde X = U V` and its
+factors: ``loss(X_tilde, U, V)`` returns the term, and
+``add_grad(X_tilde, U, V, G, mu)`` adds ``mu * dL_fair/dX_tilde`` into
+``G`` and returns the term.  ``full`` reads the factors, the other two
+read ``X_tilde``.
 
 * :class:`FullPairFairness` (``full``) — the full ordered-pair loss
-  :math:`\sum_{ij} (\tilde D_{ij} - D^*_{ij})^2` in **moment form**:
-  expanding :math:`\tilde D_{ij} = a_i + a_j - 2 \langle \tilde x_i,
-  \tilde x_j \rangle` collapses every pair sum into Gram-matrix
-  contractions, ``O(M * N^2)`` per call and no ``(M, M)`` matrix.
+  :math:`\sum_{ij} (\tilde D_{ij} - D^*_{ij})^2` in **centred K-space
+  form**: :math:`\tilde X` has rank at most ``K``, so expanding
+  :math:`\tilde D_{ij} = a_i + a_j - 2 \langle \tilde x_i, \tilde x_j
+  \rangle` on the column-centred memberships and row-centred
+  prototypes collapses every pair sum into ``K x K`` contractions,
+  ``O(M * K * (N* + K))`` per call and no ``(M, M)`` matrix.
 * :class:`PairScatter` (``sampled``) — the fixed pair subsample's
   gather/scatter (``X[ii] - X[jj]`` and its signed transpose
   accumulation) as one precomputed sparse incidence operator.
@@ -308,13 +312,13 @@ class PairScatter:
         G += self._At @ contrib
         return G
 
-    def loss(self, X_tilde: np.ndarray) -> float:
+    def loss(self, X_tilde: np.ndarray, U=None, V=None) -> float:
         """Sampled-pair fairness loss, O(n_pairs * N)."""
         diff = self.diffs(X_tilde)
         err = np.sum(diff * diff, axis=1) - self._d_star
         return float(np.sum(err * err))
 
-    def add_grad(self, X_tilde: np.ndarray, G: np.ndarray, mu: float) -> float:
+    def add_grad(self, X_tilde: np.ndarray, U, V, G: np.ndarray, mu: float) -> float:
         """Add ``mu * dL/dX_tilde`` into ``G``; returns the loss."""
         pd = self.diffs(X_tilde)  # X_tilde[ii] - X_tilde[jj]
         err = np.einsum("pn,pn->p", pd, pd)
@@ -325,134 +329,116 @@ class PairScatter:
         return loss
 
 
-def _frob_sq(A: np.ndarray) -> float:
-    """Squared Frobenius norm ``sum(A * A)`` without a temporary."""
-    return float(np.einsum("ij,ij->", A, A))
-
-
 class FullPairFairness:
-    r"""Moment-form loss/gradient of the full ordered-pair fairness term.
+    r"""Centred K-space loss/gradient of the full ordered-pair fairness term.
 
     The term is :math:`L = \sum_{ij} E_{ij}^2` with
     :math:`E = \tilde D - D^*`, where :math:`\tilde D` is the pairwise
     squared Euclidean matrix of the transformed records
-    :math:`\tilde X` and :math:`D^*` the fixed one of the original
-    non-protected attributes :math:`X^*`.  Substituting
-    :math:`\tilde D_{ij} = a_i + a_j - 2 g_{ij}` (with
-    :math:`a_i = \|\tilde x_i\|^2`, :math:`g = \tilde X \tilde X^T`)
-    and likewise :math:`D^*_{ij} = s_i + s_j - 2 g^*_{ij}` reduces
-    every pair sum to moments:
+    :math:`\tilde X = U V` and :math:`D^*` the fixed one of the original
+    non-protected attributes :math:`X^*`.  Pair distances do not change
+    under translation, so everything is evaluated on centred factors:
+    :math:`U_c = U - \mathbf 1 \bar u^T` (columns centred),
+    :math:`V_c = V - \mathbf 1 \bar v^T` (rows centred over the
+    prototypes) and :math:`X^*_c`, centred once at construction.
+
+    **Precondition: every row of** :math:`U` **sums to 1** (the softmax
+    memberships do).  Then every row of :math:`U_c` sums to 0, so
+    :math:`U_c V = U_c V_c` and :math:`\tilde X_c = U_c V_c` exactly.
+    With the ``K x K`` moments :math:`A = V_c V_c^T`,
+    :math:`B = U_c^T U_c`, :math:`W = U_c^T X^*_c` (``K x N*``),
+    :math:`a` the row sums of :math:`(U_c A) \circ U_c` (that is
+    :math:`\|\tilde x_{c,i}\|^2`), :math:`s_i = \|x^*_{c,i}\|^2` and
+    :math:`\delta = a - s`:
 
     .. math::
 
-        \sum_{ij} \tilde D_{ij}^2 &= 2 M \|a\|^2 + 2 (\Sigma a)^2
-            + 4 \|\tilde X^T \tilde X\|_F^2 - 8\, a^T \hat g, \\
-        \sum_{ij} \tilde D_{ij} D^*_{ij} &= 2 M\, a^T s
-            + 2 (\Sigma a)(\Sigma s) - 4\, a^T \hat g^*
-            - 4\, s^T \hat g + 4 \|\tilde X^T X^*\|_F^2, \\
-        \textstyle\sum_j E_{ij} &= M (a_i - s_i) + (\Sigma a - \Sigma s)
-            - 2 (\hat g_i - \hat g^*_i), \\
-        (E \tilde X)_{in} &= (a_i - s_i)\, c_n
-            + \bigl((a - s)^T \tilde X\bigr)_n
-            - 2 (\tilde X\, \tilde X^T \tilde X)_{in}
-            + 2 \bigl(X^* (\tilde X^T X^*)^T\bigr)_{in},
+        L &= 2 M \|\delta\|^2 + 2 (\Sigma \delta)^2
+             + 4 \bigl[\mathrm{tr}((B A)^2) - 2 \langle A W, W \rangle
+             + \|X^{*T}_c X^*_c\|_F^2\bigr], \\
+        r &= M \delta + \Sigma \delta
+             \quad (\text{the row sums of } E), \\
+        \frac{\partial L}{\partial \tilde X} &= 8 H V_c, \quad
+        H = r \circ U_c - \mathbf 1 (\delta^T U_c) + 2 U_c A B
+            - 2 X^*_c W^T.
 
-    with :math:`\hat g = \tilde X (\tilde X^T \mathbf 1)`,
-    :math:`\hat g^* = X^* (X^{*T} \mathbf 1)` and
-    :math:`c = \tilde X^T \mathbf 1`.  Everything is ``O(M * N^2)``
-    time and ``O(M * N)`` memory — the ``(M, M)`` matrices are never
-    formed.  All :math:`X^*`-only moments are precomputed once.
+    Centring makes :math:`U_c^T \mathbf 1 = 0` and
+    :math:`X^{*T}_c \mathbf 1 = 0`, so every column-sum term of the
+    uncentred expansion vanishes.  One call costs
+    ``O(M * K * (N* + K))`` plus the ``(M, K) x (K, N)`` product that
+    maps :math:`H` into :math:`\tilde X`-space; no ``(M, M)`` or
+    ``(N, N)`` matrix is formed.  Centring both factors keeps offset
+    inputs (records far from the origin) at full relative accuracy:
+    centring ``U`` alone would leave :math:`A` of the size of the
+    offset squared.
 
-    The expansion is exact algebra; floating-point-wise it loses
-    significance only when :math:`\tilde D \to D^*` to many digits,
-    which the utility term's low-rank reconstruction keeps far away
-    in practice (the equivalence property tests pin the drift below
-    ``1e-10`` relative).
+    Near-cancellation stays: when :math:`\tilde D \to D^*` to many
+    digits, the bracketed Gram terms cancel and the loss loses
+    significance (:class:`LandmarkFairness` computes each error entry
+    directly and keeps it).
     """
 
     def __init__(self, X_star: np.ndarray):
-        X_star = np.ascontiguousarray(X_star, dtype=np.float64)
-        self._Xs = X_star
-        m = X_star.shape[0]
-        self._m = m
-        s = np.einsum("mn,mn->m", X_star, X_star)
-        self._s = s
-        self._s_sum = float(s.sum())
-        self._gs_hat = X_star @ X_star.sum(axis=0)
-        self._sum_ds_sq = (
-            2.0 * m * float(s @ s)
-            + 2.0 * self._s_sum**2
-            + 4.0 * _frob_sq(X_star.T @ X_star)
-            - 8.0 * float(s @ self._gs_hat)
-        )
+        X_star = np.asarray(X_star, dtype=np.float64)
+        self._m = X_star.shape[0]
+        self._Xs = X_star - X_star.mean(axis=0)  # centred X*
+        self._s = np.einsum("mn,mn->m", self._Xs, self._Xs)
+        gram = self._Xs.T @ self._Xs
+        self._gram_sq = float(np.einsum("ij,ij->", gram, gram))
         self._ws = Workspace()
 
-    def _moments(self, X_tilde: np.ndarray):
-        aa = np.einsum("mn,mn->m", X_tilde, X_tilde)
-        col = X_tilde.sum(axis=0)
-        gram = X_tilde.T @ X_tilde
-        g_hat = X_tilde @ col
-        cross_gram = X_tilde.T @ self._Xs  # (N, N*)
-        return aa, col, gram, g_hat, cross_gram
-
-    def _loss_from_moments(self, aa, gram, g_hat, cross_gram) -> float:
-        m = self._m
-        a_sum = float(aa.sum())
-        sum_dt_sq = (
-            2.0 * m * float(aa @ aa)
-            + 2.0 * a_sum**2
-            + 4.0 * _frob_sq(gram)
-            - 8.0 * float(aa @ g_hat)
+    def _moments(self, U: np.ndarray, V: np.ndarray):
+        """(loss, U_c, V_c, B, W, U_c A, delta) at memberships U and
+        prototypes V; ``U_c`` and ``U_c A`` live in thread-local
+        buffers."""
+        m, k = U.shape
+        Uc = np.subtract(U, U.mean(axis=0), out=self._ws.take("uc", (m, k)))
+        Vc = V - V.mean(axis=0)
+        A = Vc @ Vc.T
+        B = Uc.T @ Uc
+        W = Uc.T @ self._Xs
+        UcA = np.matmul(Uc, A, out=self._ws.take("uc_a", (m, k)))
+        delta = np.einsum("mk,mk->m", UcA, Uc)
+        delta -= self._s
+        d_sum = float(delta.sum())
+        BA = B @ A
+        gram_terms = (
+            float(np.einsum("ij,ji->", BA, BA))
+            - 2.0 * float(np.einsum("kn,kn->", A @ W, W))
+            + self._gram_sq
         )
-        sum_cross = (
-            2.0 * m * float(aa @ self._s)
-            + 2.0 * a_sum * self._s_sum
-            - 4.0 * float(aa @ self._gs_hat)
-            - 4.0 * float(self._s @ g_hat)
-            + 4.0 * _frob_sq(cross_gram)
-        )
+        loss = 2.0 * m * float(delta @ delta) + 2.0 * d_sum**2 + 4.0 * gram_terms
         # Exactly >= 0 in real arithmetic; clip the rounding noise.
-        return max(sum_dt_sq - 2.0 * sum_cross + self._sum_ds_sq, 0.0)
+        return max(loss, 0.0), Uc, Vc, B, W, UcA, delta
 
-    def loss(self, X_tilde: np.ndarray) -> float:
-        """``sum((D_tilde - D_star)**2)`` in O(M * N^2)."""
-        aa, _, gram, g_hat, cross_gram = self._moments(X_tilde)
-        return self._loss_from_moments(aa, gram, g_hat, cross_gram)
+    def loss(self, X_tilde: np.ndarray, U: np.ndarray, V: np.ndarray) -> float:
+        """``sum((D_tilde - D_star)**2)``; works on the factors of
+        ``X_tilde = U V`` alone."""
+        return self._moments(U, V)[0]
 
     def loss_row_grad(
-        self, X_tilde: np.ndarray
+        self, U: np.ndarray, V: np.ndarray
     ) -> Tuple[float, np.ndarray, np.ndarray]:
-        """(loss, row sums of E, E @ X_tilde) — the gradient inputs.
+        """(loss, H, V_c) with ``dL/dX_tilde = 8 H V_c`` (class docstring).
 
-        ``E @ X_tilde`` is returned in a reusable thread-local buffer;
-        consume it before the next call.
+        ``H`` is returned in a reusable thread-local buffer; consume it
+        before the next call.
         """
-        m, n = X_tilde.shape
-        aa, col, gram, g_hat, cross_gram = self._moments(X_tilde)
-        loss = self._loss_from_moments(aa, gram, g_hat, cross_gram)
+        loss, Uc, Vc, B, W, UcA, delta = self._moments(U, V)
+        r = self._m * delta + float(delta.sum())
+        H = np.matmul(UcA, 2.0 * B, out=self._ws.take("h", Uc.shape))
+        H -= delta @ Uc
+        H += np.multiply(r[:, None], Uc, out=UcA)
+        H -= np.matmul(self._Xs, 2.0 * W.T, out=UcA)
+        return loss, H, Vc
 
-        diff_sq = aa - self._s
-        row = m * diff_sq + (float(aa.sum()) - self._s_sum)
-        row -= 2.0 * g_hat
-        row += 2.0 * self._gs_hat
-
-        e_xt = np.multiply(diff_sq[:, None], col[None, :], out=self._ws.take("e_xt", (m, n)))
-        e_xt += diff_sq @ X_tilde
-        tmp = np.matmul(X_tilde, gram, out=self._ws.take("xt_gram", (m, n)))
-        tmp *= 2.0
-        e_xt -= tmp
-        np.matmul(self._Xs, cross_gram.T, out=tmp)
-        tmp *= 2.0
-        e_xt += tmp
-        return loss, row, e_xt
-
-    def add_grad(self, X_tilde: np.ndarray, G: np.ndarray, mu: float) -> float:
-        """Add ``mu * dL/dX_tilde = 8 mu (r_i x_i - (E X_tilde)_i)`` into
-        ``G``; returns the loss."""
-        loss, row, e_xt = self.loss_row_grad(X_tilde)
-        e_xt -= row[:, None] * X_tilde
-        e_xt *= -8.0 * mu
-        G += e_xt
+    def add_grad(
+        self, X_tilde: np.ndarray, U: np.ndarray, V: np.ndarray, G: np.ndarray, mu: float
+    ) -> float:
+        """Add ``mu * dL/dX_tilde`` into ``G``; returns the loss."""
+        loss, H, Vc = self.loss_row_grad(U, V)
+        H *= 8.0 * mu
+        G += np.matmul(H, Vc, out=self._ws.take("g_fair", G.shape))
         return loss
 
 
@@ -645,9 +631,9 @@ class LandmarkFairness:
     ``O(M * L * N)`` time and ``O(B * L)`` transient memory, never an
     ``(M, M)`` matrix.  Error entries are computed *directly*
     (``D_tilde - D*`` elementwise), so the near-cancellation regime
-    ``D_tilde -> D*`` keeps full relative accuracy — unlike the moment
-    expansion — and the cross-block loss accumulation is compensated
-    (:class:`CompensatedSum`).
+    ``D_tilde -> D*`` keeps full relative accuracy — unlike the
+    expansion of :class:`FullPairFairness` — and the cross-block loss
+    accumulation is compensated (:class:`CompensatedSum`).
 
     Parameters
     ----------
@@ -703,7 +689,7 @@ class LandmarkFairness:
     def _block(self) -> int:
         return _block_rows(self._m, self.n_landmarks)
 
-    def loss(self, X_tilde: np.ndarray) -> float:
+    def loss(self, X_tilde: np.ndarray, U=None, V=None) -> float:
         """Scaled landmark fairness loss, O(M * L * N)."""
         idx = self._idx
         A = X_tilde[idx]
@@ -771,7 +757,7 @@ class LandmarkFairness:
         G[idx] -= EtX
         return self.scale * acc.result, G
 
-    def add_grad(self, X_tilde: np.ndarray, G: np.ndarray, mu: float) -> float:
+    def add_grad(self, X_tilde: np.ndarray, U, V, G: np.ndarray, mu: float) -> float:
         """Add ``mu * dL/dX_tilde`` into ``G``; returns the scaled loss."""
         loss, g_fair = self.loss_and_grad_x(X_tilde)
         g_fair *= mu

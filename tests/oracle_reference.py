@@ -1,7 +1,7 @@
 """The test oracle of the iFair objective: einsum tensors and a dense D*.
 
 Production (:class:`repro.core.objective.IFairObjective`) evaluates the
-loss through the GEMM / row-blocked distance kernels and the moment-form,
+loss through the GEMM / row-blocked distance kernels and the K-space,
 sparse-scatter and blocked-landmark fairness kernels.  This module keeps
 the straightforward evaluation of the same formulas — ``(M, K, N)``
 difference tensors, the dense ``(M, M)`` target ``D*``, ``np.add.at``

@@ -2,13 +2,13 @@
 
 The iFair oracle has one production path — GEMM distance kernels at
 ``p == 2``, row-blocked Minkowski kernels otherwise, and the pair
-mode's fairness kernel (moment form / sparse scatter / blocked
-landmarks).  The test oracle in ``tests/oracle_reference.py`` evaluates
-the same formulas with ``(M, K, N)`` einsum tensors and a dense ``D*``.
-These tests pin the two together at ``rtol = 1e-10`` for the loss and
-the full gradient, across Minkowski exponents, all three pair modes
-(full / sampled / landmark), and protected sets, so any algebra drift
-in the kernels is caught immediately.
+mode's fairness kernel (centred K-space form / sparse scatter /
+blocked landmarks).  The test oracle in ``tests/oracle_reference.py``
+evaluates the same formulas with ``(M, K, N)`` einsum tensors and a
+dense ``D*``.  These tests pin the two together at ``rtol = 1e-10``
+for the loss and the full gradient, across Minkowski exponents, all
+three pair modes (full / sampled / landmark), and protected sets, so
+any algebra drift in the kernels is caught immediately.
 
 Example budgets come from the Hypothesis profile registered in
 ``tests/conftest.py`` (``default``; ``HYPOTHESIS_PROFILE=nightly``

@@ -1,10 +1,10 @@
 """The exact full-pair fit at M = 1,000,000 rows, in one process.
 
-The moment-form fairness kernel makes one full-pair oracle call
-O(M * N^2) with no (M, M) state, so the paper's exact objective trains
-at a million records without sharding or approximation.  The fit takes
-seconds and ~0.8 GB, so it rides behind the ``nightly`` marker (see
-``tests/conftest.py``).
+The centred K-space fairness kernel makes one full-pair oracle call
+O(M * K * (N* + K)) with no (M, M) state, so the paper's exact
+objective trains at a million records without sharding or
+approximation.  The fit takes seconds and ~0.7 GB, so it rides behind
+the ``nightly`` marker (see ``tests/conftest.py``).
 """
 
 import numpy as np

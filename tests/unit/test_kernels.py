@@ -1,12 +1,13 @@
 """Tests for repro.utils.kernels (the GEMM + landmark kernel layer)."""
 
 import math
+import sys
 import threading
 
 import numpy as np
 import pytest
 
-from repro.utils import kernels
+from repro.utils import blas, kernels
 from repro.utils.mathkit import softmax
 
 from oracle_reference import dense_landmark_reference as _dense_landmark_reference
@@ -164,6 +165,44 @@ class TestWorkspace:
         assert seen["buf"] is not main_buf
 
 
+class TestFullPairFairness:
+    def test_shared_kernel_is_thread_safe(self, make_data):
+        """Thread-backend restarts share one objective: concurrent
+        calls with different factors must each get the serial answer,
+        bit for bit (its buffers are thread-local)."""
+        m = 200
+        full = kernels.FullPairFairness(make_data(m, 5, seed=51))
+        cases = []
+        with blas.limit(1):
+            for seed in range(6):
+                U = softmax(make_data(m, 4, seed=60 + seed), axis=1)
+                V = make_data(4, 6, seed=70 + seed)
+                G = np.zeros((m, 6))
+                cases.append((U, V, full.add_grad(U @ V, U, V, G, 1.0), G))
+        mismatches = []
+
+        def worker(U, V, loss, G):
+            with blas.limit(1):
+                for _ in range(40):
+                    got = np.zeros_like(G)
+                    got_loss = full.add_grad(U @ V, U, V, got, 1.0)
+                    if got_loss != loss or not np.array_equal(got, G):
+                        mismatches.append(loss)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=case) for case in cases]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
+
+
 class TestBlockedMinkowskiKernels:
     """Row-blocked generic-p kernels vs the (M, K, N) tensor forms."""
 
@@ -251,12 +290,15 @@ class TestLandmarkFairness:
 
     def test_at_full_rank_matches_full_pair_moments(self, make_data):
         """Anchors = every record: the landmark loss is the full
-        ordered-pair loss (here checked against the moment form)."""
+        ordered-pair loss (here checked against the ``full`` kernel on
+        the factors of X_tilde = U V)."""
         X_star = make_data(16, 3, seed=31)
-        X_tilde = make_data(16, 3, seed=32)
+        U = softmax(make_data(16, 4, seed=32), axis=1)
+        V = make_data(4, 3, seed=33)
+        X_tilde = U @ V
         lf = kernels.LandmarkFairness(X_star, np.arange(16), scale=1.0)
-        moment = kernels.FullPairFairness(X_star)
-        assert lf.loss(X_tilde) == pytest.approx(moment.loss(X_tilde), rel=1e-10)
+        full = kernels.FullPairFairness(X_star)
+        assert lf.loss(X_tilde) == pytest.approx(full.loss(X_tilde, U, V), rel=1e-10)
 
     def test_invalid_anchors_rejected(self, make_data):
         X_star = make_data(10, 3)
@@ -302,9 +344,10 @@ class TestCompensatedSum:
 
 class TestNearCancellationRegression:
     """The ROADMAP watch-item: a fit driving D_tilde -> D* to many
-    digits destroys the moment expansion's significance; the landmark
-    oracle computes the error entries directly (with compensated
-    cross-block accumulation) and must keep >= 10 significant digits.
+    digits destroys the significance of the ``full`` kernel's Gram
+    expansion; the landmark oracle computes the error entries directly
+    (with compensated cross-block accumulation) and must keep >= 10
+    significant digits.
     """
 
     @pytest.fixture
@@ -334,12 +377,19 @@ class TestNearCancellationRegression:
         loss_grad, _ = lf.loss_and_grad_x(X_tilde)
         assert abs(loss_grad - exact) / exact < 1e-10
 
-    def test_moment_form_demonstrably_loses_digits(self, near_cancellation):
-        """The watch-item is real: on the same inputs the moment
-        expansion's cancellation error is orders of magnitude above
-        the landmark oracle's."""
-        X_star, X_tilde = near_cancellation
+    def test_full_kernel_demonstrably_loses_digits(self, make_data):
+        """The watch-item is real for ``full``: with a rank-K target the
+        factors can nearly reach, its cancellation error is orders of
+        magnitude above the landmark oracle's on the same inputs."""
+        m, k, n = 60, 4, 6
+        U = softmax(make_data(m, k, seed=43), axis=1)
+        V_star = make_data(k, n, seed=44)
+        X_star = U @ V_star
+        V = V_star + 1e-4 * make_data(k, n, seed=45)
+        X_tilde = U @ V
         exact = self._exact_direct_loss(X_star, X_tilde)
-        moment = kernels.FullPairFairness(X_star)
-        moment_err = abs(moment.loss(X_tilde) - exact) / exact
-        assert moment_err > 1e-9
+        full = kernels.FullPairFairness(X_star)
+        full_err = abs(full.loss(X_tilde, U, V) - exact) / exact
+        assert full_err > 1e-9
+        lf = kernels.LandmarkFairness(X_star, np.arange(m), scale=1.0)
+        assert abs(lf.loss(X_tilde) - exact) / exact < 1e-10

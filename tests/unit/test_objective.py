@@ -8,6 +8,7 @@ import pytest
 from repro.core.objective import IFairObjective, _triu_unravel
 from repro.exceptions import ValidationError
 from repro.utils import kernels
+from repro.utils.mathkit import softmax
 
 
 @pytest.fixture
@@ -95,11 +96,13 @@ class TestForward:
         # the gap between d(x_i, x_j) and d(x*_i, x*_j).  Build a case
         # with no protected attributes: target distances = full
         # distances, so a perfect reconstruction gives zero fair loss.
-        X = rng.normal(size=(6, 3))
+        U = softmax(rng.normal(size=(6, 2)), axis=1)
+        V = rng.normal(size=(2, 3))
+        X = U @ V
         obj = IFairObjective(X, None, n_prototypes=2)
         # Simulate a perfect reconstruction by evaluating the fairness
-        # term directly at X_tilde = X.
-        assert obj._fair.loss(X) == pytest.approx(0.0)
+        # term directly at the factors of X_tilde = X = U V.
+        assert obj._fair.loss(X, U, V) == pytest.approx(0.0)
 
     def test_sampled_pairs_subset_of_full(self, make_data, make_theta):
         X = make_data(10, 4)
@@ -193,9 +196,9 @@ class TestPairModes:
 
 class TestMemory:
     def test_generic_p_full_pairs_build_no_m_squared_array(self):
-        """p != 2 full pairs run the moment form and the row-blocked
-        distance kernels: one (M, M) float64 array alone would be
-        128 MB at this M."""
+        """p != 2 full pairs run the K-space fairness kernel and the
+        row-blocked distance kernels: one (M, M) float64 array alone
+        would be 128 MB at this M."""
         X = np.random.default_rng(0).normal(size=(4000, 20))
         tracemalloc.start()
         try:
