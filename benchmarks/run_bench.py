@@ -4,7 +4,8 @@ Times the operations every experiment and serving request funnels
 through — ``IFairObjective.loss_and_grad`` (full and sampled pairs at
 ``p = 2``, sampled pairs at ``p = 3``), ``IFair.fit``,
 ``IFair.transform``, exact full-pair fits at M = 1e5 (and 1e6 in
-full runs), single-record serving latency, and
+full runs), single-record serving latency, one fairness-monitor check
+at the serving shape, and
 the end-to-end hyper-parameter tuning loop (serial exhaustive vs
 process-parallel vs successive halving) — and appends one labelled
 entry to a JSON trajectory file (``BENCH_core.json`` by default).
@@ -80,6 +81,7 @@ from repro.metrics.classification import roc_auc
 from repro.metrics.individual import consistency
 from repro.serving.engine import InferenceEngine
 from repro.serving.fit import fit_serving_pipeline
+from repro.telemetry.fairness import FairnessMonitor
 from repro.telemetry.tracing import disable_tracing, enable_tracing, get_tracer
 from repro.utils import blas
 
@@ -295,6 +297,42 @@ def bench_serving(repeats: int) -> dict:
         "serving_transform_1rec_p50_s": latencies[len(latencies) // 2],
         "serving_transform_1rec_p99_s": latencies[int(len(latencies) * 0.99)],
     }
+
+
+def bench_monitor_check(repeats: int) -> dict:
+    """Median seconds of one fairness-monitor check at the serving shape.
+
+    The engine's monitor (window 512, k = 10) on 101-column records with
+    2 protected columns: each timed check sees 64 fresh records (the
+    engine checks every 64) and 99 distance columns.  Checks are run
+    through ``metrics()``; the shape is the same under --quick and full
+    runs, only the sample count differs, so the row is gated.
+    """
+    rng = np.random.default_rng(5)
+    pool = rng.normal(size=(4096, 101))
+    pool[:, 100] = rng.integers(0, 2, size=len(pool))
+    decisions = (rng.random(len(pool)) < 0.25).astype(float)
+    # No automatic checks: the timed metrics() call runs each one.
+    monitor = FairnessMonitor([99, 100], check_every=10**9)
+    position = 0
+
+    def feed(count: int) -> None:
+        nonlocal position
+        for start in range(position, position + count, 16):
+            rows = np.arange(start, start + 16) % len(pool)
+            monitor.observe(pool[rows], pool[rows, 100], decisions[rows])
+        position += count
+
+    feed(monitor.window)
+    monitor.metrics()
+    times = []
+    for _ in range(max(30, repeats * 10)):
+        feed(64)
+        start = time.perf_counter()
+        monitor.metrics()
+        times.append(time.perf_counter() - start)
+    times.sort()
+    return {"monitor_check_s": times[len(times) // 2]}
 
 
 def bench_load_rows(quick: bool) -> dict:
@@ -634,6 +672,9 @@ GATE_LOWER_IS_BETTER = (
     "transform_M2000_N40_K10_s",
     "serving_transform_1rec_p50_s",
     "serving_transform_1rec_p99_s",
+    # One monitor check at the serving shape (window 512, 99 distance
+    # columns, 64 fresh records) under --quick and full runs alike.
+    "monitor_check_s",
     # Load rows keep a quick-identical shape (same clients/batch; only
     # the measured duration differs), so they gate like the others.
     "load_workers1_p50_s",
@@ -762,6 +803,7 @@ def run(label: str, quick: bool, tune_jobs: int, trace_out=None) -> dict:
     entry.update(bench_fit(repeats))
     entry.update(bench_transform(repeats))
     entry.update(bench_serving(repeats))
+    entry.update(bench_monitor_check(repeats))
     entry.update(bench_large_m_fit(quick))
     entry.update(bench_load_rows(quick))
     entry.update(bench_chaos_rows(quick))
@@ -945,6 +987,10 @@ def _print_summary(entry: dict) -> None:
         f"pool {entry['fit_M400_N20_K8_r2_jobs2_warm_s'] * 1e3:.1f} ms "
         f"(serial {entry['fit_M400_N20_K8_r2_s'] * 1e3:.1f} ms), parity "
         f"{'OK' if entry['fit_warm_pool_parity'] else 'BROKEN'}"
+    )
+    print(
+        "fairness monitor check (window 512, 99 columns, 64 fresh): "
+        f"{entry['monitor_check_s'] * 1e3:.2f} ms"
     )
     print(
         "exact full fit (N=8, K=4, 3 iterations): M=1e5 "

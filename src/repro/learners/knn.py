@@ -100,13 +100,24 @@ class KNearestNeighbors(BaseEstimator):
         self, Q: np.ndarray, offset: int, exclude_self: bool
     ) -> np.ndarray:
         """Neighbour indices for query rows ``offset .. offset+len(Q)``."""
-        k = self.k
         D = pairwise_sq_euclidean(Q, self._X)
         if exclude_self:
             rows = np.arange(Q.shape[0])
             D[rows, offset + rows] = np.inf
-        # argpartition for the k smallest, then sort those k by distance.
-        part = np.argpartition(D, kth=k - 1, axis=1)[:, :k]
-        row_d = np.take_along_axis(D, part, axis=1)
-        order = np.argsort(row_d, axis=1, kind="stable")
-        return np.take_along_axis(part, order, axis=1)
+        return nearest_from_distances(D, self.k)
+
+
+def nearest_from_distances(D: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of the ``k`` smallest entries of each row of ``D``.
+
+    Each row is sorted nearest first.  Every exact kNN search in the
+    package selects through this one function, so ties break by one
+    rule: an exact tie at the k-th distance keeps whichever index
+    ``argpartition`` leaves in front, and tied neighbours keep that
+    order after the stable sort.
+    """
+    # argpartition for the k smallest, then sort those k by distance.
+    part = np.argpartition(D, kth=k - 1, axis=1)[:, :k]
+    row_d = np.take_along_axis(D, part, axis=1)
+    order = np.argsort(row_d, axis=1, kind="stable")
+    return np.take_along_axis(part, order, axis=1)

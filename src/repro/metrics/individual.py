@@ -59,6 +59,18 @@ def consistency(
         block_size = _AUTO_BLOCK_ROWS
     index = KNearestNeighbors(k=k).fit(X)
     neighbors = index.kneighbors(exclude_self=True, block_size=block_size)
+    return consistency_from_neighbors(y_hat, neighbors)
+
+
+def consistency_from_neighbors(y_hat: np.ndarray, neighbors: np.ndarray) -> float:
+    """yNN of ``y_hat`` given row ``i``'s neighbour indices in ``neighbors[i]``.
+
+    The average :func:`consistency` takes once the kNN search is done;
+    a caller that keeps its own distance matrix (the serving
+    :class:`~repro.telemetry.fairness.FairnessMonitor`) passes its
+    neighbours here.  Inputs are trusted: float64 outcomes, one row of
+    in-range indices per outcome.
+    """
     diffs = np.abs(y_hat[:, None] - y_hat[neighbors])
     return float(1.0 - diffs.mean())
 

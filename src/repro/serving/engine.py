@@ -33,7 +33,7 @@ import hashlib
 import threading
 import time
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -371,9 +371,8 @@ class InferenceEngine:
     def _keys(X: np.ndarray) -> List[bytes]:
         return [hashlib.blake2b(row.tobytes(), digest_size=16).digest() for row in X]
 
-    def _fair_representation(self, records) -> np.ndarray:
-        """Cache-aware path from raw records to fair representations."""
-        X = self._encode(records)
+    def _fair_representation(self, X: np.ndarray) -> np.ndarray:
+        """Cache-aware path from encoded records to fair representations."""
         self._requests.inc()
         self._records.inc(X.shape[0])
         if self._cache.capacity == 0:  # skip per-row hashing entirely
@@ -397,19 +396,21 @@ class InferenceEngine:
     # ------------------------------------------------------------------
     # serving verbs
 
-    def _score_impl(self, records) -> np.ndarray:
+    def _score_impl(self, records) -> Tuple[np.ndarray, np.ndarray]:
+        """The encoded records and their scores."""
         if self.artifact.scorer is None:
             raise ValidationError(
                 "artifact carries no scorer; fit-save with a labelled dataset"
             )
-        Z = self._fair_representation(records)
-        return self.artifact.scorer.predict_proba(Z)
+        X = self._encode(records)
+        Z = self._fair_representation(X)
+        return X, self.artifact.scorer.predict_proba(Z)
 
     def transform(self, records) -> np.ndarray:
         """Fair representation of each record (Definition 3)."""
         start = time.perf_counter()
         try:
-            return self._fair_representation(records)
+            return self._fair_representation(self._encode(records))
         finally:
             self._latency["transform"].observe(time.perf_counter() - start)
 
@@ -417,7 +418,7 @@ class InferenceEngine:
         """P(positive outcome) per record via the artifact's scorer."""
         start = time.perf_counter()
         try:
-            return self._score_impl(records)
+            return self._score_impl(records)[1]
         finally:
             self._latency["score"].observe(time.perf_counter() - start)
 
@@ -436,7 +437,7 @@ class InferenceEngine:
         """
         start = time.perf_counter()
         try:
-            scores = self._score_impl(records)
+            _, scores = self._score_impl(records)
             order = np.argsort(-scores, kind="mergesort")
             k = scores.size if top_k is None else int(top_k)
             if k < 1:
@@ -472,13 +473,10 @@ class InferenceEngine:
             )
         start = time.perf_counter()
         try:
-            scores = self._score_impl(records)
+            X, scores = self._score_impl(records)
             groups = check_binary_labels(groups, "groups", length=scores.size)
             decisions = self.artifact.thresholds.predict(scores, groups)
-            # decide() is not the latency-critical verb, so the extra
-            # encode pass to feed the monitor's feature window is
-            # acceptable (and cheap next to the scoring pass above).
-            self.monitor.observe(self._encode(records), groups, decisions)
+            self.monitor.observe(X, groups, decisions)
             return {
                 "decisions": decisions.tolist(),
                 "scores": scores.tolist(),

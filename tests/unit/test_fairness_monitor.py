@@ -216,8 +216,8 @@ def test_concurrent_observers_keep_rows_aligned_and_check_single_flight(
     monkeypatch,
 ):
     """Request threads share one monitor: every window entry keeps its
-    own features, group and decision, and at most one O(window²) check
-    runs at a time."""
+    own features, group and decision, and at most one check (its
+    neighbour selection included) runs at a time."""
     import sys
     import threading
     import time
@@ -226,17 +226,18 @@ def test_concurrent_observers_keep_rows_aligned_and_check_single_flight(
 
     flight = {"now": 0, "peak": 0}
     flight_lock = threading.Lock()
+    nearest = fairness.nearest_from_distances
 
-    def slow_consistency(X, y, k):
+    def slow_nearest(D, k):
         with flight_lock:
             flight["now"] += 1
             flight["peak"] = max(flight["peak"], flight["now"])
         time.sleep(0.05)
         with flight_lock:
             flight["now"] -= 1
-        return 1.0
+        return nearest(D, k)
 
-    monkeypatch.setattr(fairness, "consistency", slow_consistency)
+    monkeypatch.setattr(fairness, "nearest_from_distances", slow_nearest)
     n_threads, batches, batch = 4, 3, 64  # more threads than CI cores
     total = n_threads * batches * batch
     monitor = FairnessMonitor([1], window=total, check_every=batch)
@@ -286,15 +287,16 @@ def test_check_due_during_another_waits_for_it_and_runs(monkeypatch):
 
     started, release = threading.Event(), threading.Event()
     checked = []
+    nearest = fairness.nearest_from_distances
 
-    def gated_consistency(X, y, k):
-        checked.append(X.shape[0])
+    def gated_nearest(D, k):
+        checked.append(D.shape[0])
         if len(checked) == 1:
             started.set()
             release.wait(10.0)
-        return 1.0
+        return nearest(D, k)
 
-    monkeypatch.setattr(fairness, "consistency", gated_consistency)
+    monkeypatch.setattr(fairness, "nearest_from_distances", gated_nearest)
     monitor = FairnessMonitor([1], window=1024, check_every=64)
 
     def batch(tag):
@@ -315,3 +317,154 @@ def test_check_due_during_another_waits_for_it_and_runs(monkeypatch):
     assert checked == [64, 128]
     assert monitor.metrics()["records_seen"] == 128
     assert checked == [64, 128]  # metrics() answered from the cache
+
+
+def _rejects_and_keeps_the_window(bad_batches):
+    """Rejected batches leave n_seen and every window slot unchanged:
+    on a full (wrapped) window, the next check equals a fresh
+    computation on the last `window` good records."""
+    from repro.metrics.individual import consistency
+
+    rng = np.random.default_rng(8)
+    good = rng.normal(size=(80, 3))
+    decisions = (good[:, 0] + rng.normal(size=80) > 0).astype(float)
+    monitor = FairnessMonitor([2], window=64, k=3, check_every=10_000)
+    monitor.observe(good, np.zeros(80), decisions)
+    for X, bad_decisions, match in bad_batches:
+        with pytest.raises(ValidationError, match=match):
+            monitor.observe(X, np.zeros(len(X)), bad_decisions)
+        assert monitor.n_seen == 80
+    metrics = monitor.metrics()
+    assert metrics["window_records"] == 64
+    assert metrics["records_seen"] == 80
+    assert metrics["consistency"] == consistency(
+        good[-64:, :2], decisions[-64:], k=3
+    )
+    assert metrics["decision_rates"] == {"0.0": float(decisions[-64:].mean())}
+
+
+def test_non_finite_rows_are_rejected_and_leave_the_window_unchanged():
+    batches = []
+    for bad_x, bad_d in ((np.nan, 1.0), (np.inf, 1.0), (0.0, np.nan), (0.0, -np.inf)):
+        X = np.ones((5, 3))
+        X[2, 1] = bad_x
+        decisions = np.ones(5)
+        decisions[3] = bad_d
+        batches.append((X, decisions, "NaN or infinite"))
+    _rejects_and_keeps_the_window(batches)
+
+
+def test_row_width_change_raises_and_leaves_the_window_unchanged():
+    _rejects_and_keeps_the_window([(np.ones((4, 4)), np.ones(4), "features")])
+
+
+def test_window_above_2048_calls_consistency_and_holds_no_matrix(monkeypatch):
+    """Above consistency()'s blocked-search threshold the monitor keeps
+    the parent's memory bound: no window x window matrix, one
+    consistency() call per check on the window in arrival order."""
+    from repro.metrics.individual import consistency
+    from repro.telemetry import fairness
+
+    calls = []
+
+    def counting_consistency(X, y, k):
+        calls.append(X.shape[0])
+        return consistency(X, y, k=k)
+
+    monkeypatch.setattr(fairness, "consistency", counting_consistency)
+    rng = np.random.default_rng(10)
+    window = 2049
+    monitor = FairnessMonitor([2], window=window, k=5, check_every=10_000)
+    X = rng.normal(size=(window + 300, 3))
+    decisions = (X[:, 0] + 0.5 * rng.normal(size=len(X)) > 0).astype(float)
+    groups = rng.integers(0, 2, size=len(X))
+    for start in range(0, len(X), 450):  # wraps the ring
+        stop = start + 450
+        monitor.observe(X[start:stop], groups[start:stop], decisions[start:stop])
+    metrics = monitor.metrics()
+    assert monitor._dist is None
+    assert calls == [window]
+    assert metrics["window_records"] == window
+    assert metrics["consistency"] == consistency(
+        X[-window:, :2], decisions[-window:], k=5
+    )
+
+
+def test_threaded_observers_and_readers_end_on_the_reference_metrics():
+    """Stress: observer threads (more than cores) and a /v1/stats-style
+    reader share one monitor under a tiny switch interval.  The final
+    metrics equal a fresh computation on the final window, so no
+    check left the incremental distance matrix stale."""
+    import sys
+    import threading
+
+    from repro.metrics.individual import consistency
+
+    n_threads, batches, window = 6, 30, 150
+    rng = np.random.default_rng(11)
+    sizes = rng.integers(1, 40, size=(n_threads, batches))
+    total = int(sizes.sum())
+    # Column 0 (protected) carries a record id; the table gives every
+    # record its own features, group and decision.
+    features = rng.normal(size=(total, 3))
+    group_of = rng.integers(0, 2, size=total)
+    decision_of = (features[:, 0] + rng.normal(size=total) > 0).astype(float)
+    monitor = FairnessMonitor(
+        [0], window=window, k=4, min_records=20, check_every=23
+    )
+    barrier = threading.Barrier(n_threads + 1)
+    done = threading.Event()
+    errors = []
+    offsets = np.concatenate(([0], np.cumsum(sizes.ravel())))
+
+    def observer(t):
+        try:
+            barrier.wait()
+            for b in range(batches):
+                lo, hi = offsets[t * batches + b], offsets[t * batches + b + 1]
+                ids = np.arange(lo, hi)
+                X = np.column_stack((ids, features[ids]))
+                monitor.observe(X, group_of[ids], decision_of[ids])
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    def reader():
+        barrier.wait()
+        while not done.is_set():
+            monitor.metrics()
+
+    threads = [threading.Thread(target=observer, args=(t,)) for t in range(n_threads)]
+    poller = threading.Thread(target=reader)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads + [poller]:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        done.set()
+        poller.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads + [poller])
+    assert not errors
+
+    assert monitor.n_seen == total
+    # Arrival order of the final window, read from the ring.
+    order = np.roll(np.arange(window), -(total % window))
+    ids = monitor._rows[order, 0].astype(int)
+    assert np.unique(ids).size == window
+    np.testing.assert_array_equal(monitor._rows[order, 1:], features[ids])
+    np.testing.assert_array_equal(monitor._decisions[order], decision_of[ids])
+    assert list(monitor._groups[order]) == list(group_of[ids])
+    metrics = monitor.metrics()
+    assert metrics["records_seen"] == total
+    assert metrics["window_records"] == window
+    assert metrics["consistency"] == consistency(
+        features[ids], decision_of[ids], k=4
+    )
+    rates = {
+        str(g): float(decision_of[ids][group_of[ids] == g].mean())
+        for g in (0, 1)
+    }
+    assert metrics["decision_rates"] == rates

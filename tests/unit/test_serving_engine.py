@@ -205,6 +205,42 @@ class TestEngineVerbs:
         assert bare.endpoints() == ["transform"]
         with pytest.raises(ValidationError, match="no scorer"):
             bare.score([[0.0] * artifact.n_features])
+        # decide() names the missing thresholds first, then the missing
+        # scorer, both before the records are looked at.
+        with pytest.raises(ValidationError, match="no decision thresholds"):
+            bare.decide([[0.0, 1.0]], [0])
+        no_scorer = InferenceEngine(
+            type(artifact)(
+                model=artifact.model,
+                protected_indices=artifact.protected_indices,
+                scaler=artifact.scaler,
+                thresholds=artifact.thresholds,
+            )
+        )
+        with pytest.raises(ValidationError, match="no scorer"):
+            no_scorer.decide([[0.0, 1.0]], [0])
+
+    def test_decide_encodes_once_and_feeds_that_x_to_the_monitor(
+        self, artifact, tiny_compas, monkeypatch
+    ):
+        engine = InferenceEngine(artifact, cache_size=0)
+        X = tiny_compas.X[:20]
+        groups = tiny_compas.protected[:20]
+        scores = engine.score(X)
+        decisions = artifact.thresholds.predict(scores, groups)
+        encode, calls = engine._encode, []
+
+        def counting_encode(records):
+            calls.append(len(records))
+            return encode(records)
+
+        monkeypatch.setattr(engine, "_encode", counting_encode)
+        result = engine.decide(X.tolist(), groups.tolist())
+        assert calls == [20]
+        assert result["scores"] == scores.tolist()
+        assert result["decisions"] == decisions.tolist()
+        np.testing.assert_array_equal(engine.monitor._rows[:20], X)
+        np.testing.assert_array_equal(engine.monitor._decisions[:20], decisions)
 
     def test_feature_width_checked(self, engine):
         with pytest.raises(ValidationError, match="features"):
