@@ -2,7 +2,8 @@
 
 Times the operations every experiment and serving request funnels
 through — ``IFairObjective.loss_and_grad`` (full and sampled pairs at
-``p = 2``, sampled pairs at ``p = 3``), ``IFair.fit``,
+``p = 2``, sampled pairs at ``p = 3``, and sampled pairs at the tuning
+workload's shape), ``IFair.fit``,
 ``IFair.transform``, exact full-pair fits at M = 1e5 (and 1e6 in
 full runs), single-record serving latency, one fairness-monitor check
 at the serving shape, and
@@ -89,6 +90,10 @@ from repro.utils import blas
 M, N, K = 2000, 40, 10
 PROTECTED = [38, 39]
 
+# The oracle as the tuning workload calls it: 400 records of census
+# width (2 protected columns), K prototypes, 2000 sampled pairs.
+TUNE_ORACLE_M, TUNE_ORACLE_N, TUNE_ORACLE_PAIRS = 400, 101, 2000
+
 # The ISSUE-4 tuning benchmark: the paper's protocol shape (best-of-3
 # restarts, mixture x prototype grid) on a census sample, with widely
 # spaced mixtures so the three criteria have clear winners.  Seeded:
@@ -145,6 +150,18 @@ def bench_loss_and_grad(repeats: int) -> dict:
         X, PROTECTED, n_prototypes=K, p=3.0, max_pairs=50_000, random_state=0
     )
     _time_oracle(timings, "loss_and_grad_sampled50k_p3_s", obj_p3, theta, repeats)
+    X_tune = np.random.default_rng(2).normal(size=(TUNE_ORACLE_M, TUNE_ORACLE_N))
+    obj_tune = IFairObjective(
+        X_tune,
+        [TUNE_ORACLE_N - 2, TUNE_ORACLE_N - 1],
+        n_prototypes=K,
+        max_pairs=TUNE_ORACLE_PAIRS,
+        random_state=0,
+    )
+    theta_tune = np.random.default_rng(3).uniform(0.1, 0.9, size=obj_tune.n_params)
+    _time_oracle(
+        timings, "loss_and_grad_sampled2k_M400_s", obj_tune, theta_tune, repeats
+    )
     return timings
 
 
@@ -350,8 +367,8 @@ def bench_load_rows(quick: bool) -> dict:
 
 
 #: Exact full-pair fits at large M, in one process: N = 8, K = 4, one
-#: restart, 3 L-BFGS iterations.  The K-space fairness kernel makes
-#: each oracle call O(M * K * (N* + K)) with no (M, M) state.
+#: restart, 3 L-BFGS iterations.  The K-space oracle makes each call
+#: O(M * K * N) with no (M, M) state.
 LARGE_M_ROWS = {100_000: "fit_full_M1e5_N8_K4", 1_000_000: "fit_full_M1e6_N8_K4"}
 LARGE_M_N, LARGE_M_K, LARGE_M_MAX_ITER = 8, 4, 3
 
@@ -666,6 +683,7 @@ GATE_LOWER_IS_BETTER = (
     "loss_and_grad_full_fast_s",
     "loss_and_grad_sampled50k_fast_s",
     "loss_and_grad_sampled50k_p3_s",
+    "loss_and_grad_sampled2k_M400_s",
     "fit_M400_N20_K8_r2_s",
     "fit_M400_N20_K8_r2_jobs2_s",
     "fit_M400_N20_K8_r2_jobs2_warm_s",
@@ -969,7 +987,8 @@ def _print_summary(entry: dict) -> None:
         "loss_and_grad: full "
         f"{entry['loss_and_grad_full_fast_s'] * 1e3:.2f} ms, 50k sampled "
         f"{entry['loss_and_grad_sampled50k_fast_s'] * 1e3:.2f} ms, 50k sampled "
-        f"p=3 {entry['loss_and_grad_sampled50k_p3_s'] * 1e3:.2f} ms"
+        f"p=3 {entry['loss_and_grad_sampled50k_p3_s'] * 1e3:.2f} ms, 2k sampled "
+        f"at M=400 N=101 {entry['loss_and_grad_sampled2k_M400_s'] * 1e3:.2f} ms"
     )
     print(
         f"landmark @ M={entry['landmark_M']}: L=64 "

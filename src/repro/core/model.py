@@ -49,12 +49,26 @@ RESTART_BACKENDS = ("process", "thread")
 
 @dataclass
 class RestartRecord:
-    """Outcome of a single optimisation restart (for diagnostics)."""
+    """Outcome of a single optimisation restart (for diagnostics).
+
+    ``stop_reason`` says why L-BFGS-B stopped: ``"gtol"`` (projected
+    gradient below ``tol``), ``"ftol"`` (relative loss reduction below
+    scipy's factr), ``"maxiter"`` (iteration or evaluation budget spent)
+    or ``"abnormal"`` (e.g. a line search that could not progress).
+    """
 
     seed: int
     loss: float
     n_iterations: int
     converged: bool
+    stop_reason: str = "unknown"
+
+
+def _stop_reason(result) -> str:
+    """The :attr:`RestartRecord.stop_reason` of a scipy L-BFGS-B result."""
+    if result.status == 0:
+        return "gtol" if "PROJECTED GRADIENT" in str(result.message) else "ftol"
+    return "maxiter" if result.status == 1 else "abnormal"
 
 
 # One (model, objective, bounds) triple per worker process: workers
@@ -581,14 +595,17 @@ class IFair(ParamsMixin):
                 bounds=bounds,
                 options={"maxiter": self.max_iter, "gtol": self.tol},
             )
+        stop_reason = _stop_reason(result)
         registry = get_registry()
         registry.counter("fit_restarts_total").inc()
         registry.counter("fit_lbfgs_iterations_total").inc(int(result.nit))
+        registry.counter("fit_restart_stops_total", {"reason": stop_reason}).inc()
         record = RestartRecord(
             seed=seed,
             loss=float(result.fun),
             n_iterations=int(result.nit),
             converged=bool(result.success),
+            stop_reason=stop_reason,
         )
         return record, result.x
 

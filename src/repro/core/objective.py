@@ -22,23 +22,45 @@ the fairness target uses unit weights (see DESIGN.md section 4).
 
 Backward pass
 -------------
-With :math:`G = \partial L / \partial \tilde X`:
+:math:`\tilde X = U V` has rank ``K``, so the gradient through it is
+contracted in K-space; no ``(M, N)`` gradient is formed.
 
-* utility part: :math:`2 \lambda (\tilde X - X)`;
-* fairness part (full ordered-pair sum, :math:`E = \tilde D - D^*`,
-  :math:`r_i = \sum_j E_{ij}`): :math:`8 \mu (r_i \tilde x_i - \sum_j
-  E_{ij} \tilde x_j)`;
-* through the linear map: :math:`\partial L/\partial V \mathrel{+}= U^T
-  G` and :math:`C = G V^T`;
-* through the softmax: :math:`P_{ik} = u_{ik} (C_{ik} - \sum_m u_{im}
-  C_{im})` and :math:`\partial L / \partial d = -P`;
-* through the distance: with ``diff = x_in - v_kn``,
+* **Centred records.**  The column means :math:`\bar x` of ``X`` are
+  computed once, with :math:`X_c = X - \mathbf 1 \bar x^T` and its
+  elementwise square.  Each call moves the prototypes alongside,
+  :math:`V' = V - \mathbf 1 \bar x^T`.  Distances are
+  translation-invariant, so the distance kernels run on
+  :math:`(X_c, V')`; and the rows of ``U`` sum to 1, so
+  :math:`\tilde X - X = U V' - X_c`.  Centring is what keeps the
+  gradient accurate on records far from the origin.
+* **The utility loss** stays a direct residual on the raw records,
+  :math:`R = U V - X` in one workspace buffer and
+  :math:`L_{util} = \langle R, R \rangle`: it keeps full relative
+  accuracy as :math:`\tilde X \to X`, where a Gram expansion would
+  cancel.
+* **Through** :math:`\tilde X = U V`.  With
+  :math:`T = U^T X_c` (``K x N``), :math:`V_c` = :math:`V'` minus its
+  mean row and :math:`A = V_c V_c^T`, the utility term adds
+  :math:`2 \lambda (U^T U V' - T)` to :math:`\partial L / \partial V`
+  and :math:`2 \lambda (U (V' V_c^T) - X_c V_c^T)` to
+  :math:`C = \partial L / \partial U`.  ``C`` may drop any constant per
+  row, because the softmax Jacobian cancels it, so :math:`V_c` stands
+  in for ``V`` there.  The pair mode's fairness kernel adds its own
+  K-space pieces (:mod:`repro.utils.kernels`, "Fairness terms"), and
+  every :math:`X_c`-side term of ``C`` goes through one product
+  :math:`X_c Q^T`.
+* **Through the softmax:** :math:`P_{ik} = u_{ik} (C_{ik} - \sum_m
+  u_{im} C_{im})` and :math:`\partial L / \partial d = -P`.
+* **Through the distance:** with ``diff = x_in - v_kn``,
   :math:`\partial L/\partial v_{kn} \mathrel{+}= p\,\alpha_n \sum_i
   P_{ik}\,\mathrm{sign}(diff)\,|diff|^{p-1}` and
-  :math:`\partial L/\partial \alpha_n = -\sum_{ik} P_{ik} |diff|^p`.
+  :math:`\partial L/\partial \alpha_n = -\sum_{ik} P_{ik} |diff|^p`,
+  evaluated on :math:`(P, X_c, V')`.
 
-All of this is verified against central finite differences by the
-property tests in ``tests/property/test_gradients.py``.
+So a call makes three products against :math:`X_c` (:math:`U^T X_c`,
+:math:`X_c Q^T` and :math:`P^T X_c`) besides the distance forward and
+the residual.  All of this is verified against central finite
+differences by the property tests in ``tests/property/test_gradients.py``.
 
 One oracle path
 ---------------
@@ -52,14 +74,19 @@ kernels of :mod:`repro.utils.kernels`:
   :func:`~repro.utils.kernels.minkowski_backward`) take the GEMM
   expansion at ``p = 2`` and the row-blocked Minkowski kernels
   otherwise — no ``(M, K, N)`` tensor at any ``p``;
-* the pair mode's fairness kernel adds its loss and
-  :math:`\mu\,\partial L_{fair} / \partial \tilde X` into ``G`` from
-  one place (``add_grad``), handed :math:`\tilde X` and its factors
-  ``U`` and ``V``.
+* the pair mode's fairness kernel is called once, as
+  ``loss_row_grad(U, V_c, A, W)`` with :math:`W = U^T X^*_c` (the
+  non-protected columns of ``T``), and returns its loss,
+  :math:`\partial L_{fair} / \partial V`, its part of ``C`` and the
+  :math:`X^*`-side coefficient folded into ``Q``.  ``full`` and
+  ``sampled`` return only ``K``-sized pieces; ``landmark`` forms
+  :math:`\tilde X` and its ``(M, N)`` gradient inside the kernel.
 
-The large ``(M, K)`` and ``(M, N)`` intermediates live in a
-thread-local workspace reused across L-BFGS evaluations.  The einsum
-formulas above, with a dense ``(M, M)`` target ``D*``, survive only in
+:meth:`IFairObjective.loss_components` runs the same forward and the
+same kernel call, so ``loss(theta)`` equals ``loss_and_grad(theta)[0]``.
+The ``(M, K)`` intermediates and the residual live in thread-local
+workspaces reused across L-BFGS evaluations.  The einsum formulas
+above, with a dense ``(M, M)`` target ``D*``, survive only in
 ``tests/`` as the test oracle the property tests hold this path to at
 ``rtol = 1e-10``.
 
@@ -75,7 +102,7 @@ Pair modes (large-M fairness oracle)
 * ``"sampled"`` — ``max_pairs`` unordered pairs drawn once at
   construction, gathered and scattered through a sparse incidence
   operator (:class:`repro.utils.kernels.PairScatter`,
-  ``O(max_pairs * N)`` per call).
+  ``O(max_pairs * K^2)`` per call).
 * ``"landmark"`` — the full-pair loss approximated through ``L << M``
   landmark anchors (:class:`repro.utils.kernels.LandmarkFairness`,
   seeded by k-means++ or farthest-point traversal under
@@ -101,14 +128,14 @@ from repro.telemetry.tracing import get_tracer
 from repro.utils import kernels
 from repro.utils.landmarks import LANDMARK_METHODS, select_landmarks
 from repro.utils.mathkit import softmax
-
-PAIR_MODES = ("auto", "full", "sampled", "landmark")
 from repro.utils.rng import RandomStateLike, check_random_state
 from repro.utils.validation import (
     check_matrix,
     check_protected_indices,
     nonprotected_indices,
 )
+
+PAIR_MODES = ("auto", "full", "sampled", "landmark")
 
 
 class IFairObjective:
@@ -148,8 +175,8 @@ class IFairObjective:
         Seeds the pair subsample and the landmark selection only.
     precompute:
         ``True`` (default) builds the oracle's support structures
-        (pair subsample, landmark selection, centred ``X*``) at
-        construction.  ``False`` defers them until the first loss
+        (centred records, pair subsample, landmark selection, centred
+        ``X*``) at construction.  ``False`` defers them until the first loss
         evaluation: every parameter is still validated eagerly, so a
         parent process can construct-and-validate the oracle cheaply
         while worker processes (which rebuild it from the same inputs,
@@ -256,9 +283,12 @@ class IFairObjective:
             random_state,
         )
 
-        self._X_sq: Optional[np.ndarray] = None
+        # Centred records X_c, their column means and (p = 2 only) X_c**2.
+        self._Xc: Optional[np.ndarray] = None
+        self._x_mean: Optional[np.ndarray] = None
+        self._Xc_sq: Optional[np.ndarray] = None
         # The pair mode's fairness kernel (FullPairFairness, PairScatter
-        # or LandmarkFairness): ``loss`` and ``add_grad``.
+        # or LandmarkFairness), called as ``loss_row_grad``.
         self._fair = None
         self._anchor_cache: Optional[np.ndarray] = None
         self._ready = False
@@ -317,11 +347,14 @@ class IFairObjective:
     def _build_support(self) -> None:
         m = self.X.shape[0]
         max_pairs, _, _, random_state = self._precompute_args
-        # X is fixed for the objective's lifetime, so its elementwise
-        # square (used by the p = 2 GEMM forward and grad_alpha) is
-        # computed once.  Workspace buffers are thread-local, so one
-        # objective can serve parallel restarts.
-        self._X_sq = self.X * self.X if self.p == 2.0 else None
+        # X is fixed for the objective's lifetime, so it is centred once,
+        # and the elementwise square the p = 2 GEMM forward and
+        # grad_alpha use is taken of the centred records.  Workspace
+        # buffers are thread-local, so one objective can serve parallel
+        # restarts.
+        self._x_mean = self.X.mean(axis=0)
+        self._Xc = self.X - self._x_mean
+        self._Xc_sq = self._Xc * self._Xc if self.p == 2.0 else None
         X_star = self.X[:, self.nonprotected]
         if self.pair_mode == "full":
             # Centred X* and its Gram norm; no (M, M) target matrix.
@@ -414,13 +447,20 @@ class IFairObjective:
     def _distances(self, V: np.ndarray, alpha: np.ndarray) -> np.ndarray:
         """d[i, k] = sum_n alpha_n |x_in - v_kn|^p, shape (M, K).
 
-        The returned array is a reusable workspace buffer — copy it
-        before the next oracle call if it must survive.
+        Evaluated on the centred records and prototypes (distances are
+        translation-invariant).  The returned array is a reusable
+        workspace buffer — copy it before the next oracle call if it
+        must survive.
         """
         self.ensure_ready()
         m, k = self.X.shape[0], V.shape[0]
         return kernels.minkowski_dists(
-            self.X, V, alpha, self.p, x_sq=self._X_sq, out=self._ws.take("d", (m, k))
+            self._Xc,
+            V - self._x_mean,
+            alpha,
+            self.p,
+            x_sq=self._Xc_sq,
+            out=self._ws.take("d", (m, k)),
         )
 
     def memberships(self, V: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -431,14 +471,32 @@ class IFairObjective:
         """Transformed representation X-tilde = U V (Definition 2)."""
         return self.memberships(V, alpha) @ V
 
+    def _forward(self, V: np.ndarray, alpha: np.ndarray):
+        """The forward pass both losses and the gradient share.
+
+        Returns ``(U, V', V_c, A, T, l_util, fair)``, where ``fair`` is
+        the fairness kernel's ``(loss, dL/dV, dL/dU part, Q)`` (module
+        docstring).  ``U`` aliases the distance buffer.
+        """
+        self.ensure_ready()
+        m, n = self.X.shape
+        Vp = V - self._x_mean
+        U = kernels.softmax_neg_inplace(self._distances(V, alpha))
+        R = np.matmul(U, V, out=self._ws.take("resid", (m, n)))
+        R -= self.X
+        r = R.ravel()
+        l_util = float(r @ r)
+        Vc = Vp - Vp.mean(axis=0)
+        A = Vc @ Vc.T
+        T = U.T @ self._Xc
+        fair = self._fair.loss_row_grad(U, Vc, A, T[:, self.nonprotected])
+        return U, Vp, Vc, A, T, l_util, fair
+
     def loss_components(self, theta: np.ndarray) -> Tuple[float, float]:
         """(L_util, L_fair) at ``theta`` — unweighted by lambda/mu."""
         V, alpha = self.unpack(theta)
-        U = self.memberships(V, alpha)
-        X_tilde = U @ V
-        resid = self.X - X_tilde
-        l_util = float(np.sum(resid * resid))
-        return l_util, self._fair.loss(X_tilde, U, V)
+        *_, l_util, fair = self._forward(V, alpha)
+        return l_util, fair[0]
 
     def loss(self, theta: np.ndarray) -> float:
         """Combined objective L(theta) of Definition 6."""
@@ -452,36 +510,38 @@ class IFairObjective:
     def loss_and_grad(self, theta: np.ndarray) -> Tuple[float, np.ndarray]:
         """Loss and analytic gradient w.r.t. the packed parameters.
 
-        One path for every ``p`` and pair mode (see module docstring).
-        All (M, K)- and (M, N)-sized intermediates live in reusable
-        thread-local workspace buffers; the returned gradient is a
-        fresh array (L-BFGS keeps a history of it).
+        One path for every ``p`` and pair mode, contracted in K-space
+        (see module docstring).  The (M, K)-sized intermediates and the
+        residual live in reusable thread-local workspace buffers; the
+        returned gradient is a fresh array (L-BFGS keeps a history of
+        it).
         """
         V, alpha = self.unpack(theta)
-        X = self.X
-        m, n = X.shape
-        k = V.shape[0]
+        m, k = self.X.shape[0], V.shape[0]
         ws = self._ws
+        U, Vp, Vc, A, T, l_util, fair = self._forward(V, alpha)
+        l_fair, grad_V_fair, C_fair, Q_fair = fair
+        lam2, mu = 2.0 * self.lambda_util, self.mu_fair
+        loss = self.lambda_util * l_util + mu * l_fair
 
-        d = self._distances(V, alpha)
-        U = kernels.softmax_neg_inplace(d)  # aliases d's buffer
-        X_tilde = np.matmul(U, V, out=ws.take("x_tilde", (m, n)))
-        resid = np.subtract(X_tilde, X, out=ws.take("resid", (m, n)))
-        l_util = float(np.einsum("mn,mn->", resid, resid))
-
-        # dL/dX_tilde from both loss terms.
-        G = np.multiply(2.0 * self.lambda_util, resid, out=ws.take("g", (m, n)))
-        l_fair = self._fair.add_grad(X_tilde, U, V, G, self.mu_fair)
-        loss = self.lambda_util * l_util + self.mu_fair * l_fair
-
-        # Through X_tilde = U V (grad_V before P overwrites C's buffer).
-        grad_V = U.T @ G  # (K, N)
-        C = np.matmul(G, V.T, out=ws.take("c", (m, k)))
+        # Through X_tilde = U V: grad_V = U^T G and C = G V^T for
+        # G = 2 lambda R + mu dL_fair/dX_tilde, in K-space.
+        grad_V = (U.T @ U) @ Vp
+        grad_V -= T
+        grad_V *= lam2
+        grad_V += mu * grad_V_fair
+        Q = lam2 * Vc
+        if Q_fair is not None:
+            Q[:, self.nonprotected] += mu * Q_fair
+        C = np.matmul(U, lam2 * (Vp @ Vc.T), out=ws.take("c", (m, k)))
+        C_fair *= mu
+        C += C_fair
+        C -= np.matmul(self._Xc, Q.T, out=ws.take("xq", (m, k)))
         # Softmax Jacobian: P = U * (C - rowsum(U * C)), in C's buffer.
         C -= np.einsum("mk,mk->m", U, C)[:, None]
         C *= U
         grad_alpha, grad_V_dist = kernels.minkowski_backward(
-            C, X, V, alpha, self.p, x_sq=self._X_sq
+            C, self._Xc, Vp, alpha, self.p, x_sq=self._Xc_sq
         )
         grad_V += grad_V_dist
         return loss, np.concatenate([grad_V.ravel(), grad_alpha])

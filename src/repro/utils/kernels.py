@@ -48,11 +48,18 @@ results do not depend on the batch height.
 Fairness terms
 --------------
 Each pair mode of the objective has one fairness kernel, and all three
-share one call shape on the transform :math:`\tilde X = U V` and its
-factors: ``loss(X_tilde, U, V)`` returns the term, and
-``add_grad(X_tilde, U, V, G, mu)`` adds ``mu * dL_fair/dX_tilde`` into
-``G`` and returns the term.  ``full`` reads the factors, the other two
-read ``X_tilde``.
+share one call on the factors of :math:`\tilde X = U V`, in the
+objective's centred coordinates: ``loss_row_grad(U, Vc, A, W)`` with
+the memberships ``U`` (rows summing to 1), the row-centred prototypes
+``Vc``, their Gram ``A = Vc Vc^T`` and ``W = U^T X*_c`` (``K x N*``),
+returning ``(loss, grad_V, dU, Q)``:
+
+* ``grad_V`` — :math:`\partial L_{fair} / \partial V` (``K x N``);
+* ``dU`` — :math:`\partial L_{fair} / \partial U` up to a constant per
+  row, which the softmax Jacobian cancels (``M x K``, thread-local);
+* ``Q`` — ``None``, or a ``K x N*`` coefficient whose term
+  :math:`-X^*_c Q^T` completes ``dU``; the objective folds it into its
+  one product against the centred records.
 
 * :class:`FullPairFairness` (``full``) — the full ordered-pair loss
   :math:`\sum_{ij} (\tilde D_{ij} - D^*_{ij})^2` in **centred K-space
@@ -60,16 +67,23 @@ read ``X_tilde``.
   :math:`\tilde D_{ij} = a_i + a_j - 2 \langle \tilde x_i, \tilde x_j
   \rangle` on the column-centred memberships and row-centred
   prototypes collapses every pair sum into ``K x K`` contractions,
-  ``O(M * K * (N* + K))`` per call and no ``(M, M)`` matrix.
+  ``O(M * K^2)`` per call and no ``(M, M)`` or ``(M, N)`` matrix.
+  ``loss(X_tilde, U, V)`` and ``add_grad(X_tilde, U, V, G, mu)`` (the
+  gradient in :math:`\tilde X`-space) work from the raw factors.
 * :class:`PairScatter` (``sampled``) — the fixed pair subsample's
-  gather/scatter (``X[ii] - X[jj]`` and its signed transpose
-  accumulation) as one precomputed sparse incidence operator.
+  gather/scatter as one precomputed sparse incidence operator, applied
+  to ``U``: the pair differences of the memberships carry what the
+  pair differences of :math:`\tilde X` do, at ``O(max_pairs * K^2)``
+  per call instead of ``O(max_pairs * N)``.
 * :class:`LandmarkFairness` (``landmark``) — the pair loss against
   ``L`` anchor records, evaluated in row blocks: ``O(M * L * N)`` time
   and ``O(B * L)`` transient memory.  It computes each error entry
   directly, so it keeps full relative accuracy when a fit drives
   :math:`\tilde D \to D^*`, and its cross-block loss accumulation runs
   through :class:`CompensatedSum` (Neumaier compensated summation).
+  It forms :math:`\tilde X_c = U V_c` and its ``(M, N)`` gradient
+  inside ``loss_row_grad``; ``loss(X_tilde)`` and
+  ``loss_and_grad_x(X_tilde)`` work on a given transform.
 
 Everything here is thread-safe; :class:`Workspace` hands out
 *thread-local* reusable buffers so parallel restarts can share one
@@ -221,10 +235,18 @@ def softmax_neg_inplace(d: np.ndarray) -> np.ndarray:
     Performs the exact operation sequence of
     :func:`repro.utils.mathkit.softmax` (shift by the row maximum,
     exponentiate, normalise) so results match it bitwise, without
-    allocating beyond one ``(M, 1)`` reduction per step.
+    allocating beyond one ``(M,)`` reduction per step.
+
+    The row maximum of ``-d`` is taken as the negated column-by-column
+    minimum of ``d``: min and max are exact, and ``min - d`` rounds as
+    ``-d - max(-d)`` does, so the shift is bit for bit the same, while
+    ``K`` strided passes cost a fraction of numpy's short-row
+    ``max(axis=1)``.
     """
-    np.negative(d, out=d)
-    d -= np.max(d, axis=1, keepdims=True)
+    low = d[:, 0].copy()
+    for col in range(1, d.shape[1]):
+        np.minimum(low, d[:, col], out=low)
+    np.subtract(low[:, None], d, out=d)
     np.exp(d, out=d)
     d /= np.sum(d, axis=1, keepdims=True)
     return d
@@ -248,13 +270,16 @@ def sq_dist_backward(
     i.e. exactly the ``-einsum("mk,mkn->n", P, powed)`` and
     ``p * alpha * einsum("mk,mkn->kn", P, deriv)`` terms of the
     reference implementation, without the ``(M, K, N)`` tensors.  The
-    only heavy operation is the shared ``(K, N)`` product ``P.T @ X``.
+    only heavy operation is the shared ``(K, N)`` product ``P.T @ X``;
+    the row and column sums of ``P`` are matrix-vector products, several
+    times faster than numpy's reductions along a short axis.
     """
     if x_sq is None:
         x_sq = X * X
+    m, k = P.shape
     PtX = P.T @ X  # (K, N) — shared by both gradients
-    p_row = P.sum(axis=1)  # (M,)
-    p_col = P.sum(axis=0)  # (K,)
+    p_row = P @ np.ones(k)  # (M,)
+    p_col = np.ones(m) @ P  # (K,)
     grad_alpha = -(p_row @ x_sq - 2.0 * np.einsum("kn,kn->n", PtX, V) + p_col @ (V * V))
     grad_V = PtX - p_col[:, None] * V
     grad_V *= 2.0 * alpha
@@ -262,25 +287,42 @@ def sq_dist_backward(
 
 
 class PairScatter:
-    """Sampled-pair fairness term with a precomputed sparse gather/scatter.
+    r"""Sampled-pair fairness term in K-space, through a sparse incidence operator.
 
     For fixed pair index vectors ``ii``/``jj`` into the rows of the
     non-protected matrix ``X_star`` (they never change over an
     objective's lifetime) the signed incidence matrix
-    ``A[p, ii[p]] = +1, A[p, jj[p]] = -1`` turns both hot sampled-pair
-    operations into sparse matrix products:
+    ``A_inc[p, ii[p]] = +1, A_inc[p, jj[p]] = -1`` turns both hot
+    sampled-pair operations into sparse matrix products:
 
-    * ``diffs(X) = A @ X`` gives ``X[ii] - X[jj]`` (bitwise equal to
+    * ``diffs(Y) = A_inc @ Y`` gives ``Y[ii] - Y[jj]`` (bitwise equal to
       the fancy-indexed subtraction);
     * ``scatter_add(G, C)`` performs ``G[ii] += C; G[jj] -= C`` as
-      ``G += A.T @ C``.
+      ``G += A_inc.T @ C``.
 
     Both run through scipy's CSR kernels — several times faster than
     the generic ``np.add.at`` ufunc machinery (or a per-column
     ``np.bincount`` scatter) for the pair counts the fairness
-    subsample uses.  ``loss`` / ``add_grad`` (see the module docstring)
-    evaluate ``sum_p (|X_tilde[ii_p] - X_tilde[jj_p]|^2 - D*_p)^2`` with
-    the fixed target ``D*`` taken from ``X_star``.
+    subsample uses.
+
+    The term is :math:`L = \sum_p (\|\tilde x_{i_p} - \tilde x_{j_p}\|^2
+    - D^*_p)^2` with the fixed target ``D*`` taken from ``X_star``, and
+    it is evaluated on the memberships, never on :math:`\tilde X`.  The
+    pair differences ``dU = diffs(U)`` have rows summing to zero (every
+    row of ``U`` sums to 1), so :math:`\tilde x_{i_p} - \tilde x_{j_p} =
+    dU_p V_c` and, with :math:`A = V_c V_c^T`:
+
+    .. math::
+
+        \tilde D_p = \bigl((dU\,A) \circ dU\bigr)_p \mathbf 1, \quad
+        e = \tilde D - D^*, \quad
+        S = A_{inc}^T (4 e \circ dU), \quad
+        \frac{\partial L}{\partial \tilde X} = S V_c.
+
+    :meth:`loss_row_grad` returns :math:`\partial L / \partial V =
+    (U^T S) V_c` and :math:`S A` for :math:`\partial L / \partial U`:
+    ``O(n_pairs * K^2)`` per call, where the same sum on
+    :math:`\tilde X` costs ``O(n_pairs * N)``.
     """
 
     def __init__(self, ii: np.ndarray, jj: np.ndarray, X_star: np.ndarray):
@@ -298,35 +340,41 @@ class PairScatter:
         self._At = sparse.csr_matrix(A.T)
         diff = X_star[ii] - X_star[jj]
         self._d_star = np.sum(diff * diff, axis=1)
+        self._ws = Workspace()
 
     @property
     def n_pairs(self) -> int:
         return int(self._A.shape[0])
 
-    def diffs(self, X: np.ndarray) -> np.ndarray:
-        """``X[ii] - X[jj]``, shape (n_pairs, N)."""
-        return self._A @ X
+    def diffs(self, Y: np.ndarray) -> np.ndarray:
+        """``Y[ii] - Y[jj]``, shape (n_pairs, Y.shape[1])."""
+        return self._A @ Y
 
     def scatter_add(self, G: np.ndarray, contrib: np.ndarray) -> np.ndarray:
         """``G[ii] += contrib; G[jj] -= contrib`` in place."""
         G += self._At @ contrib
         return G
 
-    def loss(self, X_tilde: np.ndarray, U=None, V=None) -> float:
-        """Sampled-pair fairness loss, O(n_pairs * N)."""
-        diff = self.diffs(X_tilde)
-        err = np.sum(diff * diff, axis=1) - self._d_star
-        return float(np.sum(err * err))
+    def loss_row_grad(
+        self, U: np.ndarray, Vc: np.ndarray, A: np.ndarray, W=None
+    ) -> Tuple[float, np.ndarray, np.ndarray, None]:
+        """(loss, dL/dV, dL/dU up to a constant per row, None).
 
-    def add_grad(self, X_tilde: np.ndarray, U, V, G: np.ndarray, mu: float) -> float:
-        """Add ``mu * dL/dX_tilde`` into ``G``; returns the loss."""
-        pd = self.diffs(X_tilde)  # X_tilde[ii] - X_tilde[jj]
-        err = np.einsum("pn,pn->p", pd, pd)
+        The common fairness-kernel call (module docstring); ``W`` is
+        unused.  dL/dU is returned in a reusable thread-local buffer;
+        consume it before the next call.
+        """
+        m, k = U.shape
+        dU = self.diffs(U)
+        err = np.einsum("pk,pk->p", dU @ A, dU)
         err -= self._d_star
         loss = float(err @ err)
-        pd *= (4.0 * mu) * err[:, None]  # pair contributions
-        self.scatter_add(G, pd)
-        return loss
+        dU *= 4.0 * err[:, None]
+        S = self._ws.take("s", (m, k))
+        S.fill(0.0)
+        self.scatter_add(S, dU)
+        dL_dU = np.matmul(S, A, out=self._ws.take("du", (m, k)))
+        return loss, (U.T @ S) @ Vc, dL_dU, None
 
 
 class FullPairFairness:
@@ -358,15 +406,27 @@ class FullPairFairness:
              + \|X^{*T}_c X^*_c\|_F^2\bigr], \\
         r &= M \delta + \Sigma \delta
              \quad (\text{the row sums of } E), \\
-        \frac{\partial L}{\partial \tilde X} &= 8 H V_c, \quad
-        H = r \circ U_c - \mathbf 1 (\delta^T U_c) + 2 U_c A B
-            - 2 X^*_c W^T.
+        \frac{\partial L}{\partial \tilde X} &= 8 (H_k - 2 X^*_c W^T) V_c,
+        \quad H_k = r \circ U_c - \mathbf 1 (\delta^T U_c) + 2 U_c A B.
 
     Centring makes :math:`U_c^T \mathbf 1 = 0` and
     :math:`X^{*T}_c \mathbf 1 = 0`, so every column-sum term of the
-    uncentred expansion vanishes.  One call costs
-    ``O(M * K * (N* + K))`` plus the ``(M, K) x (K, N)`` product that
-    maps :math:`H` into :math:`\tilde X`-space; no ``(M, M)`` or
+    uncentred expansion vanishes, and :math:`U^T X^*_c = W`: the
+    objective hands ``W`` over as columns of its own :math:`U^T X_c`, at
+    no extra product.  Through :math:`\tilde X = U V` the gradient
+    contracts in K-space:
+
+    .. math::
+
+        \frac{\partial L}{\partial V} = (8 U^T H_k - 16 W W^T) V_c, \qquad
+        \frac{\partial L}{\partial U} \cong 8 H_k A - 16 X^*_c (A W)^T,
+
+    where :math:`\cong` drops a constant per row (:math:`V_c V^T = A +
+    V_c \bar v \mathbf 1^T`), which the softmax Jacobian cancels.
+    :meth:`loss_row_grad` returns the first, :math:`8 H_k A`, and
+    :math:`Q = 16 A W`: the :math:`X^*`-side term, which the objective
+    folds into its one product against the centred records.  One call
+    costs ``O(M * K^2 + K^2 * N)``; no ``(M, M)``, ``(M, N)`` or
     ``(N, N)`` matrix is formed.  Centring both factors keeps offset
     inputs (records far from the origin) at full relative accuracy:
     centring ``U`` alone would leave :math:`A` of the size of the
@@ -381,64 +441,78 @@ class FullPairFairness:
     def __init__(self, X_star: np.ndarray):
         X_star = np.asarray(X_star, dtype=np.float64)
         self._m = X_star.shape[0]
+        self._ones = np.ones(self._m)
         self._Xs = X_star - X_star.mean(axis=0)  # centred X*
         self._s = np.einsum("mn,mn->m", self._Xs, self._Xs)
         gram = self._Xs.T @ self._Xs
         self._gram_sq = float(np.einsum("ij,ij->", gram, gram))
         self._ws = Workspace()
 
-    def _moments(self, U: np.ndarray, V: np.ndarray):
-        """(loss, U_c, V_c, B, W, U_c A, delta) at memberships U and
-        prototypes V; ``U_c`` and ``U_c A`` live in thread-local
-        buffers."""
+    def _row_term(self, U: np.ndarray, A: np.ndarray, W: Optional[np.ndarray]):
+        """(loss, H_k, W, A W) at memberships U and prototype Gram A.
+
+        ``W`` is computed as ``U_c^T X*_c`` when ``None``.  ``H_k``
+        lives in a thread-local buffer.
+        """
         m, k = U.shape
-        Uc = np.subtract(U, U.mean(axis=0), out=self._ws.take("uc", (m, k)))
-        Vc = V - V.mean(axis=0)
-        A = Vc @ Vc.T
+        ws = self._ws
+        Uc = np.subtract(U, (self._ones @ U) / m, out=ws.take("uc", (m, k)))
+        if W is None:
+            W = Uc.T @ self._Xs
         B = Uc.T @ Uc
-        W = Uc.T @ self._Xs
-        UcA = np.matmul(Uc, A, out=self._ws.take("uc_a", (m, k)))
+        UcA = np.matmul(Uc, A, out=ws.take("uc_a", (m, k)))
         delta = np.einsum("mk,mk->m", UcA, Uc)
         delta -= self._s
         d_sum = float(delta.sum())
         BA = B @ A
+        AW = A @ W
         gram_terms = (
             float(np.einsum("ij,ji->", BA, BA))
-            - 2.0 * float(np.einsum("kn,kn->", A @ W, W))
+            - 2.0 * float(np.einsum("kn,kn->", AW, W))
             + self._gram_sq
         )
         loss = 2.0 * m * float(delta @ delta) + 2.0 * d_sum**2 + 4.0 * gram_terms
-        # Exactly >= 0 in real arithmetic; clip the rounding noise.
-        return max(loss, 0.0), Uc, Vc, B, W, UcA, delta
+        r = m * delta + d_sum
+        H = np.matmul(UcA, 2.0 * B, out=ws.take("h", (m, k)))
+        H -= delta @ Uc
+        H += np.multiply(r[:, None], Uc, out=UcA)
+        # The loss is exactly >= 0 in real arithmetic; clip the rounding noise.
+        return max(loss, 0.0), H, W, AW
 
     def loss(self, X_tilde: np.ndarray, U: np.ndarray, V: np.ndarray) -> float:
         """``sum((D_tilde - D_star)**2)``; works on the factors of
         ``X_tilde = U V`` alone."""
-        return self._moments(U, V)[0]
+        Vc = V - V.mean(axis=0)
+        return self._row_term(U, Vc @ Vc.T, None)[0]
 
     def loss_row_grad(
-        self, U: np.ndarray, V: np.ndarray
-    ) -> Tuple[float, np.ndarray, np.ndarray]:
-        """(loss, H, V_c) with ``dL/dX_tilde = 8 H V_c`` (class docstring).
+        self, U: np.ndarray, Vc: np.ndarray, A: np.ndarray, W: np.ndarray
+    ) -> Tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+        """(loss, dL/dV, 8 H_k A, 16 A W) — see the class docstring.
 
-        ``H`` is returned in a reusable thread-local buffer; consume it
-        before the next call.
+        The common fairness-kernel call (module docstring), with
+        ``W = U^T X*_c``.  The ``(M, K)`` term is returned in a reusable
+        thread-local buffer; consume it before the next call.
         """
-        loss, Uc, Vc, B, W, UcA, delta = self._moments(U, V)
-        r = self._m * delta + float(delta.sum())
-        H = np.matmul(UcA, 2.0 * B, out=self._ws.take("h", Uc.shape))
-        H -= delta @ Uc
-        H += np.multiply(r[:, None], Uc, out=UcA)
-        H -= np.matmul(self._Xs, 2.0 * W.T, out=UcA)
-        return loss, H, Vc
+        loss, H, W, AW = self._row_term(U, A, W)
+        grad_V = (8.0 * (U.T @ H) - 16.0 * (W @ W.T)) @ Vc
+        dL_dU = np.matmul(H, 8.0 * A, out=self._ws.take("du", H.shape))
+        return loss, grad_V, dL_dU, 16.0 * AW
 
     def add_grad(
         self, X_tilde: np.ndarray, U: np.ndarray, V: np.ndarray, G: np.ndarray, mu: float
     ) -> float:
-        """Add ``mu * dL/dX_tilde`` into ``G``; returns the loss."""
-        loss, H, Vc = self.loss_row_grad(U, V)
+        """Add ``mu * dL/dX_tilde`` into ``G``; returns the loss.
+
+        The ``X_tilde``-space form of the gradient, for a caller that
+        holds one; the objective contracts in K-space instead
+        (:meth:`loss_row_grad`).
+        """
+        Vc = V - V.mean(axis=0)
+        loss, H, W, _ = self._row_term(U, Vc @ Vc.T, None)
+        H -= self._Xs @ (2.0 * W.T)
         H *= 8.0 * mu
-        G += np.matmul(H, Vc, out=self._ws.take("g_fair", G.shape))
+        G += H @ Vc
         return loss
 
 
@@ -689,7 +763,7 @@ class LandmarkFairness:
     def _block(self) -> int:
         return _block_rows(self._m, self.n_landmarks)
 
-    def loss(self, X_tilde: np.ndarray, U=None, V=None) -> float:
+    def loss(self, X_tilde: np.ndarray) -> float:
         """Scaled landmark fairness loss, O(M * L * N)."""
         idx = self._idx
         A = X_tilde[idx]
@@ -757,9 +831,20 @@ class LandmarkFairness:
         G[idx] -= EtX
         return self.scale * acc.result, G
 
-    def add_grad(self, X_tilde: np.ndarray, U, V, G: np.ndarray, mu: float) -> float:
-        """Add ``mu * dL/dX_tilde`` into ``G``; returns the scaled loss."""
-        loss, g_fair = self.loss_and_grad_x(X_tilde)
-        g_fair *= mu
-        G += g_fair
-        return loss
+    def loss_row_grad(
+        self, U: np.ndarray, Vc: np.ndarray, A=None, W=None
+    ) -> Tuple[float, np.ndarray, np.ndarray, None]:
+        """(scaled loss, dL/dV, dL/dU up to a constant per row, None).
+
+        The common fairness-kernel call (module docstring); ``A`` and
+        ``W`` are unused.  The blocked landmark sum needs the transform
+        itself, so this kernel forms :math:`\\tilde X_c = U V_c` and its
+        gradient ``G`` (both ``(M, N)``, thread-local) and returns
+        ``U^T G`` and ``G V_c^T``.  The ``(M, K)`` term is returned in a
+        reusable thread-local buffer; consume it before the next call.
+        """
+        m, k = U.shape
+        X_tilde = np.matmul(U, Vc, out=self._ws.take("x_tilde", (m, Vc.shape[1])))
+        loss, G = self.loss_and_grad_x(X_tilde)
+        dL_dU = np.matmul(G, Vc.T, out=self._ws.take("du", (m, k)))
+        return loss, U.T @ G, dL_dU, None

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core import model as model_module
-from repro.core.model import IFair
+from repro.core.model import IFair, RestartRecord
 from repro.exceptions import NotFittedError, ValidationError
+from repro.telemetry.metrics import get_registry
 
 
 @pytest.fixture
@@ -89,6 +90,54 @@ class TestFit:
             IFair(landmark_method="bogus")
         with pytest.raises(ValidationError):
             IFair(n_landmarks=0)
+
+
+class TestStopReason:
+    """Each restart records why L-BFGS-B stopped and counts it."""
+
+    REASONS = ("gtol", "ftol", "maxiter", "abnormal")
+
+    def test_spent_budget_reads_maxiter(self, data):
+        model = _fit(data, n_restarts=2, max_iter=1)
+        assert [r.stop_reason for r in model.restarts_] == ["maxiter", "maxiter"]
+
+    def test_met_tolerance_reads_gtol(self, data):
+        # The projected gradient starts in the thousands here and falls
+        # below this tol within a few iterations.
+        model = _fit(data, max_iter=200, tol=1e3)
+        (record,) = model.restarts_
+        assert record.stop_reason == "gtol"
+        assert record.converged and record.n_iterations < 200
+
+    def test_scipy_status_mapping(self):
+        def result(status, message):
+            return SimpleNamespace(status=status, message=message)
+
+        stop = model_module._stop_reason
+        assert stop(result(0, "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL")) == "gtol"
+        assert stop(result(0, "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH")) == "ftol"
+        assert stop(result(1, "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT")) == "maxiter"
+        assert stop(result(2, "ABNORMAL: ")) == "abnormal"
+
+    def test_counter_moves_once_per_restart(self, data):
+        registry = get_registry()
+
+        def counts():
+            return {
+                r: registry.value("fit_restart_stops_total", {"reason": r})
+                for r in self.REASONS
+            }
+
+        before = counts()
+        _fit(data, n_restarts=3, max_iter=1)
+        after = counts()
+        assert {r: after[r] - before[r] for r in self.REASONS} == {
+            "gtol": 0.0, "ftol": 0.0, "maxiter": 3.0, "abnormal": 0.0,
+        }
+
+    def test_existing_constructors_keep_working(self):
+        record = RestartRecord(seed=0, loss=1.0, n_iterations=1, converged=True)
+        assert record.stop_reason == "unknown"
 
 
 class TestLandmarkFit:
