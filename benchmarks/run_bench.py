@@ -165,58 +165,25 @@ def bench_loss_and_grad(repeats: int) -> dict:
     return timings
 
 
-def bench_landmark(repeats: int, quick: bool) -> dict:
-    """Landmark oracle at large M against the exact full-pair oracle.
+def bench_full_large_m(repeats: int, quick: bool) -> dict:
+    """The exact full-pair oracle at large M, at p = 2 and p = 3.
 
     At ``M = 20,000`` a dense full-pair target would be an (M, M)
     float64 matrix (3.2 GB).  The K-space full-pair oracle runs in
-    O(M * K * (N* + K)) at every ``p`` and provides the exact fairness
-    value the landmark rows are scored against
-    (``landmark*_fair_rel_err``), so each entry records the
-    accuracy-vs-cost frontier of the mode.
+    O(M * K * (N* + K)) at every ``p``; at p = 3 the row-blocked
+    distance kernels keep the (M, K, N) tensor out of play.
     """
     m = 4000 if quick else 20_000
     rng = np.random.default_rng(5)
     X = rng.normal(size=(m, N))
     theta = np.random.default_rng(6).uniform(0.1, 0.9, size=K * N + N)
-    timings: dict = {"landmark_M": m}
-
-    exact = IFairObjective(
-        X, PROTECTED, n_prototypes=K, random_state=0
-    )  # exact full pair, K-space kernel
-    _, fair_exact = exact.loss_components(theta)
-    _time_oracle(timings, "loss_and_grad_full_fast_largeM_s", exact, theta, repeats)
-
-    for n_land in (64, 256):
-        obj = IFairObjective(
-            X,
-            PROTECTED,
-            n_prototypes=K,
-            pair_mode="landmark",
-            n_landmarks=n_land,
-            random_state=0,
-        )
-        _, fair_lm = obj.loss_components(theta)
-        _time_oracle(timings, f"loss_and_grad_landmark{n_land}_s", obj, theta, repeats)
-        timings[f"landmark{n_land}_fair_rel_err"] = abs(fair_lm - fair_exact) / fair_exact
-
-    # Generic p: row-blocked distance kernels (no (M, K, N) tensor)
-    # under the same K-space and landmark fairness kernels.
-    exact_p3 = IFairObjective(X, PROTECTED, n_prototypes=K, p=3.0, random_state=0)
-    _, fair_exact_p3 = exact_p3.loss_components(theta)
-    _time_oracle(timings, "loss_and_grad_full_p3_largeM_s", exact_p3, theta, repeats)
-    obj_p3 = IFairObjective(
-        X,
-        PROTECTED,
-        n_prototypes=K,
-        p=3.0,
-        pair_mode="landmark",
-        n_landmarks=128,
-        random_state=0,
-    )
-    _, fair_lm_p3 = obj_p3.loss_components(theta)
-    _time_oracle(timings, "loss_and_grad_landmark128_p3_s", obj_p3, theta, repeats)
-    timings["landmark128_p3_fair_rel_err"] = abs(fair_lm_p3 - fair_exact_p3) / fair_exact_p3
+    timings: dict = {"large_M": m}
+    for key, p in (
+        ("loss_and_grad_full_fast_largeM_s", 2.0),
+        ("loss_and_grad_full_p3_largeM_s", 3.0),
+    ):
+        exact = IFairObjective(X, PROTECTED, n_prototypes=K, p=p, random_state=0)
+        _time_oracle(timings, key, exact, theta, repeats)
     return timings
 
 
@@ -224,26 +191,21 @@ def bench_fit(repeats: int) -> dict:
     rng = np.random.default_rng(2)
     X = rng.normal(size=(400, 20))
 
-    def fit(n_jobs=None, backend="process", pool="per-call"):
+    def fit(n_jobs=None, pool="per-call"):
         return IFair(
             n_prototypes=8,
             n_restarts=2,
             max_iter=30,
             max_pairs=5000,
             n_jobs=n_jobs,
-            backend=backend,
             pool=pool,
             random_state=0,
         ).fit(X, [19])
 
     timings = {
         "fit_M400_N20_K8_r2_s": _best_of(fit, repeats),
-        # jobs2 restarts now fork real worker processes (PR 4); the
-        # thread row keeps the old GIL-bound escape hatch measurable.
+        # jobs2 restarts fork real worker processes.
         "fit_M400_N20_K8_r2_jobs2_s": _best_of(lambda: fit(2), repeats),
-        "fit_M400_N20_K8_r2_jobs2_thread_s": _best_of(
-            lambda: fit(2, "thread"), repeats
-        ),
         # The session-pool row (ROADMAP residual (b)): _best_of's
         # warm-up call primes the broker pool and publishes X into the
         # arena cache, so every timed fit measures the warm path — no
@@ -677,7 +639,7 @@ def bench_tune_scaling(quick: bool = True, jobs: tuple = (1, 2)) -> dict:
 #: Timing metrics (seconds, lower is better) whose problem shapes are
 #: identical under --quick and full runs, so a CI smoke entry can be
 #: gated against the committed full-run trajectory.  Deliberately
-#: excluded: landmark rows (M differs between quick and full) and the
+#: excluded: large-M oracle rows (M differs between quick and full) and the
 #: absolute tuning rows (records/grid/machine-core dependent).
 GATE_LOWER_IS_BETTER = (
     "loss_and_grad_full_fast_s",
@@ -815,7 +777,7 @@ def run(label: str, quick: bool, tune_jobs: int, trace_out=None) -> dict:
     entry = _new_entry(label, quick)
     entry["config"] = {"M": M, "N": N, "K": K, "p": 2.0}
     entry.update(bench_loss_and_grad(repeats))
-    entry.update(bench_landmark(repeats, quick))
+    entry.update(bench_full_large_m(repeats, quick))
     # Fit rows carry the warm-pool acceptance claim; give them the
     # full repeat budget (each is only tens of milliseconds).
     entry.update(bench_fit(repeats))
@@ -991,14 +953,9 @@ def _print_summary(entry: dict) -> None:
         f"at M=400 N=101 {entry['loss_and_grad_sampled2k_M400_s'] * 1e3:.2f} ms"
     )
     print(
-        f"landmark @ M={entry['landmark_M']}: L=64 "
-        f"{entry['loss_and_grad_landmark64_s'] * 1e3:.2f} ms "
-        f"(fair rel err {entry['landmark64_fair_rel_err']:.2e}), L=256 "
-        f"{entry['loss_and_grad_landmark256_s'] * 1e3:.2f} ms "
-        f"(rel err {entry['landmark256_fair_rel_err']:.2e}); p=3: full "
-        f"{entry['loss_and_grad_full_p3_largeM_s'] * 1e3:.2f} ms, L=128 "
-        f"{entry['loss_and_grad_landmark128_p3_s'] * 1e3:.2f} ms "
-        f"(rel err {entry['landmark128_p3_fair_rel_err']:.2e})"
+        f"full pairs @ M={entry['large_M']}: p=2 "
+        f"{entry['loss_and_grad_full_fast_largeM_s'] * 1e3:.2f} ms, p=3 "
+        f"{entry['loss_and_grad_full_p3_largeM_s'] * 1e3:.2f} ms"
     )
     print(
         "fit M400 jobs2: cold pool "

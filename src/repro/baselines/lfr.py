@@ -30,11 +30,12 @@ is always the ``p = 2`` weighted squared Euclidean, so no
 ``(M, K, N)`` tensor is ever materialised.
 
 As an extension beyond Zemel et al., the objective accepts an optional
-*individual*-fairness regulariser ``mu_fair > 0``: the same landmark
-pair-distance term the iFair oracle uses at scale
+*individual*-fairness regulariser ``mu_fair > 0``: iFair's pair
+distance-preservation term estimated through ``L`` landmark anchors
 (:class:`repro.utils.kernels.LandmarkFairness`, O(M * L * N) per call,
 target distances on all attributes since LFR has no protected-column
-notion).  The default ``mu_fair = 0`` keeps the classic LFR objective
+notion).  iFair itself sums the term exactly (``pair_mode="full"``).
+The default ``mu_fair = 0`` keeps the classic LFR objective
 bit-for-bit.
 """
 

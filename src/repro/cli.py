@@ -281,25 +281,12 @@ def _add_pair_mode_flags(parser: argparse.ArgumentParser) -> None:
     """Fairness-oracle flags shared by ``run`` and ``fit-save``."""
     parser.add_argument(
         "--pair-mode",
-        choices=("auto", "full", "sampled", "landmark"),
+        choices=("auto", "full", "sampled"),
         default="auto",
         help=(
-            "fairness-oracle mode for iFair fits: landmark enables the "
-            "O(M*L*N) large-M oracle (default auto)"
+            "fairness-oracle mode for iFair fits: full sums every record "
+            "pair exactly, sampled a fixed pair subsample (default auto)"
         ),
-    )
-    parser.add_argument(
-        "--landmarks",
-        type=int,
-        default=None,
-        metavar="L",
-        help="anchor count for --pair-mode landmark (default min(M, 128))",
-    )
-    parser.add_argument(
-        "--landmark-method",
-        choices=("kmeans++", "farthest"),
-        default="kmeans++",
-        help="landmark seeding strategy (default kmeans++)",
     )
 
 
@@ -350,30 +337,13 @@ def _add_tuning_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _check_pair_mode_args(args) -> None:
-    """Landmark knobs require the landmark oracle — fail loudly rather
-    than silently running a different pair mode than the user asked
-    for (both ``run`` and ``fit-save`` share this contract)."""
-    if args.pair_mode != "landmark":
-        if args.landmarks is not None:
-            raise ReproError("--landmarks requires --pair-mode landmark")
-        if args.landmark_method != "kmeans++":
-            raise ReproError("--landmark-method requires --pair-mode landmark")
-
-
 def _config(args) -> ExperimentConfig:
-    _check_pair_mode_args(args)
     if args.scale == "paper":
         config = ExperimentConfig.paper(random_state=args.seed)
     else:
         config = ExperimentConfig.fast(random_state=args.seed)
     if args.pair_mode != "auto":
-        config = replace(
-            config,
-            pair_mode=args.pair_mode,
-            n_landmarks=args.landmarks,
-            landmark_method=args.landmark_method,
-        )
+        config = replace(config, pair_mode=args.pair_mode)
     if (
         args.tune_jobs is not None
         or args.tune_strategy != "exhaustive"
@@ -408,8 +378,6 @@ def _cmd_fit_save(args) -> int:
     from repro.data import generate_census, generate_compas, generate_credit
     from repro.serving import fit_serving_pipeline, save_artifact
 
-    _check_pair_mode_args(args)
-
     if args.dataset == "compas":
         dataset = generate_compas(args.records, random_state=args.seed)
     elif args.dataset == "census":
@@ -424,8 +392,6 @@ def _cmd_fit_save(args) -> int:
         criterion=args.criterion,
         max_iter=args.max_iter,
         pair_mode=args.pair_mode,
-        n_landmarks=args.landmarks,
-        landmark_method=args.landmark_method,
         n_jobs=args.fit_jobs,
         pool=args.pool,
         tune=args.tune,

@@ -39,12 +39,9 @@ from repro.learners.base import ParamsMixin
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.tracing import get_tracer
 from repro.utils import blas
-from repro.utils.landmarks import LANDMARK_METHODS
 from repro.utils.mathkit import softmax, weighted_minkowski_to_prototypes
 from repro.utils.rng import RandomStateLike, check_random_state, spawn_seeds
 from repro.utils.validation import check_matrix, check_protected_indices
-
-RESTART_BACKENDS = ("process", "thread")
 
 
 @dataclass
@@ -73,26 +70,26 @@ def _stop_reason(result) -> str:
 
 # One (model, objective, bounds) triple per worker process: workers
 # serve every restart of one fit, so the deterministic objective —
-# including its landmark selection and pair precomputations — is
-# rebuilt once from the broadcast matrix, not once per task.
+# including its pair precomputations — is rebuilt once from the
+# broadcast matrix, not once per task.
 _WORKER_FIT_CACHE: dict = {}
 
 # Oracle memo across *consecutive fits* on a session pool: the
 # objective (and bounds) are a pure function of (training matrix,
 # oracle parameters), so a warm worker refitting the same data — a
 # serving refit after tuning, repeated fits in a benchmark — reuses
-# the precomputed oracle instead of re-sampling pairs and re-selecting
-# landmarks.  Keyed by the broadcast segment *name*, which the arena
-# mints content-addressed and never reuses, plus every parameter the
-# objective depends on; capped to the two most recent oracles.
+# the precomputed oracle instead of re-sampling pairs.  Keyed by the
+# broadcast segment *name*, which the arena mints content-addressed and
+# never reuses, plus every parameter the objective depends on; capped
+# to the two most recent oracles.
 _WORKER_ORACLE_CACHE: dict = {}
 _ORACLE_CACHE_SIZE = 2
 
 #: Constructor parameters the loss/gradient oracle depends on.  The
 #: optimisation knobs (n_restarts, max_iter, tol, warm_start_theta,
-#: n_jobs, backend, pool, init, protected_alpha_init) deliberately do
-#: not enter the key: they shape the search over the oracle, not the
-#: oracle itself.
+#: n_jobs, pool, init, protected_alpha_init) deliberately do not enter
+#: the key: they shape the search over the oracle, not the oracle
+#: itself.
 _ORACLE_PARAM_KEYS = (
     "n_prototypes",
     "lambda_util",
@@ -100,8 +97,6 @@ _ORACLE_PARAM_KEYS = (
     "p",
     "max_pairs",
     "pair_mode",
-    "n_landmarks",
-    "landmark_method",
     "random_state",
 )
 
@@ -200,29 +195,18 @@ class IFair(ParamsMixin):
         Optional cap on fairness-loss pairs (subsampled once per fit).
     pair_mode:
         Fairness-oracle mode: ``"auto"`` (default; ``"sampled"`` iff
-        ``max_pairs`` is set, else ``"full"``), ``"full"``,
-        ``"sampled"``, or ``"landmark"`` — the large-M oracle that
-        approximates the full-pair loss through ``n_landmarks``
-        anchors in O(M * L * N) per L-BFGS evaluation, for any ``p``,
-        with no O(M^2) structure anywhere.
-    n_landmarks:
-        Anchor count for ``pair_mode="landmark"`` (default
-        ``min(M, 128)``; capped at M).
-    landmark_method:
-        ``"kmeans++"`` (default) or ``"farthest"`` anchor seeding,
-        deterministic under ``random_state``.
+        ``max_pairs`` is set, else ``"full"``), ``"full"`` (the exact
+        ordered-pair sum, O(M * K * (N + K)) per L-BFGS evaluation at
+        any ``p``, no O(M^2) structure) or ``"sampled"``.
     n_jobs:
         Number of restarts optimised concurrently.  ``None`` or ``1``
-        runs them sequentially; ``-1`` uses one worker per CPU.  The
-        selected model is identical to the sequential result for any
-        value: the best loss wins, ties broken by seed order.
-    backend:
-        How parallel restarts run: ``"process"`` (default) forks real
-        workers through :class:`repro.core.executor.ParallelExecutor`
-        — the training matrix is broadcast zero-copy via shared
-        memory and each worker rebuilds the (deterministic) objective
-        once — or ``"thread"``, the historical escape hatch for fits
-        dominated by GIL-releasing BLAS calls.
+        runs them sequentially; ``-1`` uses one worker per CPU.  More
+        than one worker forks real processes through
+        :class:`repro.core.executor.ParallelExecutor`: the training
+        matrix is broadcast zero-copy via shared memory and each worker
+        rebuilds the (deterministic) objective once.  The selected
+        model is identical to the sequential result for any value: the
+        best loss wins, ties broken by seed order.
     pool:
         ``"per-call"`` (default) spawns a private worker pool for this
         fit; ``"session"`` borrows the persistent broker pool
@@ -251,9 +235,6 @@ class IFair(ParamsMixin):
         Best training loss.
     restarts_:
         Per-restart diagnostics.
-    landmarks_:
-        Sorted anchor row indices of the training matrix when fitted
-        with ``pair_mode="landmark"``, else ``None``.
     """
 
     def __init__(
@@ -270,10 +251,7 @@ class IFair(ParamsMixin):
         tol: float = 1e-6,
         max_pairs: Optional[int] = None,
         pair_mode: str = "auto",
-        n_landmarks: Optional[int] = None,
-        landmark_method: str = "kmeans++",
         n_jobs: Optional[int] = None,
-        backend: str = "process",
         pool: str = "per-call",
         warm_start_theta: Optional[np.ndarray] = None,
         random_state: RandomStateLike = 0,
@@ -286,18 +264,8 @@ class IFair(ParamsMixin):
             raise ValidationError("protected_alpha_init must lie in (0, 1)")
         if pair_mode not in PAIR_MODES:
             raise ValidationError(f"pair_mode must be one of {PAIR_MODES}")
-        if landmark_method not in LANDMARK_METHODS:
-            raise ValidationError(
-                f"landmark_method must be one of {LANDMARK_METHODS}"
-            )
-        if n_landmarks is not None and n_landmarks < 1:
-            raise ValidationError("n_landmarks must be at least 1")
         if n_jobs is not None and (n_jobs == 0 or n_jobs < -1):
             raise ValidationError("n_jobs must be None, -1, or a positive integer")
-        if backend not in RESTART_BACKENDS:
-            raise ValidationError(
-                f"backend must be one of {RESTART_BACKENDS}, got {backend!r}"
-            )
         if pool not in POOL_MODES:
             raise ValidationError(
                 f"pool must be one of {POOL_MODES}, got {pool!r}"
@@ -313,10 +281,7 @@ class IFair(ParamsMixin):
         self.tol = float(tol)
         self.max_pairs = max_pairs
         self.pair_mode = pair_mode
-        self.n_landmarks = n_landmarks
-        self.landmark_method = landmark_method
         self.n_jobs = n_jobs
-        self.backend = backend
         self.pool = pool
         self.warm_start_theta = (
             None
@@ -329,7 +294,6 @@ class IFair(ParamsMixin):
         self.alpha_: Optional[np.ndarray] = None
         self.loss_: float = np.inf
         self.restarts_: List[RestartRecord] = []
-        self.landmarks_: Optional[np.ndarray] = None
         self.n_partial_fits_: int = 0
         self._protected: Optional[np.ndarray] = None
         self._window: Optional[deque] = None
@@ -354,26 +318,23 @@ class IFair(ParamsMixin):
         X = check_matrix(X, "X", min_rows=2)
         self._protected = check_protected_indices(protected_indices, X.shape[1])
         workers = self._n_workers()
-        use_process = workers > 1 and self.backend == "process"
         get_registry().counter("fit_total").inc()
         with get_tracer().span(
             "fit",
             n_records=int(X.shape[0]),
             n_restarts=self.n_restarts,
-            backend=self.backend if workers > 1 else "serial",
+            backend="process" if workers > 1 else "serial",
         ), blas.limit(1):
-            return self._fit_inner(X, workers, use_process)
+            return self._fit_inner(X, workers)
 
-    def _fit_inner(
-        self, X: np.ndarray, workers: int, use_process: bool
-    ) -> "IFair":
+    def _fit_inner(self, X: np.ndarray, workers: int) -> "IFair":
         # The process path never evaluates the oracle parent-side:
         # construct it deferred (validation and shape bookkeeping only)
         # and let the workers build — or reuse from their cache — the
-        # expensive support structures.  Serial and thread paths
-        # optimise this very object, so they precompute as always.
+        # expensive support structures.  The serial path optimises this
+        # very object, so it precomputes as always.
+        use_process = workers > 1
         objective = self._build_objective(X, precompute=not use_process)
-        self.landmarks_ = objective.landmark_indices
         seeds = spawn_seeds(self.random_state, self.n_restarts)
         bounds = self._bounds(objective)
         if self.warm_start_theta is not None and (
@@ -385,16 +346,6 @@ class IFair(ParamsMixin):
             )
         if use_process:
             outcomes = self._restarts_process(objective.X, seeds, workers)
-        elif workers > 1:
-            # Thread escape hatch: the objective's workspace buffers
-            # are thread-local, so one shared oracle is safe; only
-            # worthwhile when BLAS (which releases the GIL) dominates.
-            with ParallelExecutor(
-                lambda task: self._run_restart(objective, bounds, task[1], index=task[0]),
-                workers,
-                backend="thread",
-            ) as pool:
-                outcomes = pool.map(list(enumerate(seeds)))
         else:
             outcomes = [
                 self._run_restart(objective, bounds, seed, index=index)
@@ -439,8 +390,6 @@ class IFair(ParamsMixin):
             p=self.p,
             max_pairs=self.max_pairs,
             pair_mode=self.pair_mode,
-            n_landmarks=self.n_landmarks,
-            landmark_method=self.landmark_method,
             random_state=self.random_state,
             precompute=precompute,
         )
@@ -515,13 +464,6 @@ class IFair(ParamsMixin):
         window_size:
             Buffer bound.  Growing or shrinking it between calls keeps
             the most recent rows.
-
-        Notes
-        -----
-        Under ``pair_mode="landmark"`` an explicit ``n_landmarks``
-        larger than the current window is capped at the window size for
-        the refit (anchors are rows of the window), without mutating
-        the configured parameter.
         """
         X = check_matrix(X_increment, "X_increment", min_rows=1)
         window_size = int(window_size)
@@ -549,15 +491,8 @@ class IFair(ParamsMixin):
             protected_indices = list(self._protected)
         W = np.asarray(self._window, dtype=np.float64)
         saved_warm = self.warm_start_theta
-        saved_landmarks = self.n_landmarks
         if self.prototypes_ is not None and self.alpha_ is not None:
             self.warm_start_theta = self.theta_
-        if (
-            self.pair_mode == "landmark"
-            and self.n_landmarks is not None
-            and self.n_landmarks > W.shape[0]
-        ):
-            self.n_landmarks = W.shape[0]
         get_registry().counter("partial_fit_total").inc()
         try:
             with get_tracer().span(
@@ -568,7 +503,6 @@ class IFair(ParamsMixin):
                 self.fit(W, protected_indices)
         finally:
             self.warm_start_theta = saved_warm
-            self.n_landmarks = saved_landmarks
         self.n_partial_fits_ += 1
         return self
 

@@ -78,9 +78,8 @@ kernels of :mod:`repro.utils.kernels`:
   ``loss_row_grad(U, V_c, A, W)`` with :math:`W = U^T X^*_c` (the
   non-protected columns of ``T``), and returns its loss,
   :math:`\partial L_{fair} / \partial V`, its part of ``C`` and the
-  :math:`X^*`-side coefficient folded into ``Q``.  ``full`` and
-  ``sampled`` return only ``K``-sized pieces; ``landmark`` forms
-  :math:`\tilde X` and its ``(M, N)`` gradient inside the kernel.
+  :math:`X^*`-side coefficient folded into ``Q`` — ``K``-sized pieces
+  only, so no oracle call forms an ``(M, N)`` gradient.
 
 :meth:`IFairObjective.loss_components` runs the same forward and the
 same kernel call, so ``loss(theta)`` equals ``loss_and_grad(theta)[0]``.
@@ -90,8 +89,8 @@ above, with a dense ``(M, M)`` target ``D*``, survive only in
 ``tests/`` as the test oracle the property tests hold this path to at
 ``rtol = 1e-10``.
 
-Pair modes (large-M fairness oracle)
-------------------------------------
+Pair modes
+----------
 ``pair_mode`` selects how the fairness term sums record pairs:
 
 * ``"full"`` — every ordered pair, in centred K-space form on the
@@ -103,14 +102,6 @@ Pair modes (large-M fairness oracle)
   construction, gathered and scattered through a sparse incidence
   operator (:class:`repro.utils.kernels.PairScatter`,
   ``O(max_pairs * K^2)`` per call).
-* ``"landmark"`` — the full-pair loss approximated through ``L << M``
-  landmark anchors (:class:`repro.utils.kernels.LandmarkFairness`,
-  seeded by k-means++ or farthest-point traversal under
-  ``random_state``).  Each oracle call costs ``O(M * L * N)`` and never
-  materialises an ``(M, M)`` matrix.  The loss is scaled by ``M / L``
-  so it estimates the full ordered-pair sum — ``mu_fair`` keeps one
-  meaning across modes (see :attr:`IFairObjective.effective_pairs`) —
-  and at ``L = M`` it equals the full-pair loss exactly.
 
 ``pair_mode="auto"`` (the default) preserves the historical
 behaviour: ``"sampled"`` when ``max_pairs`` is given, else ``"full"``.
@@ -126,7 +117,6 @@ from repro.exceptions import ValidationError
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.tracing import get_tracer
 from repro.utils import kernels
-from repro.utils.landmarks import LANDMARK_METHODS, select_landmarks
 from repro.utils.mathkit import softmax
 from repro.utils.rng import RandomStateLike, check_random_state
 from repro.utils.validation import (
@@ -135,7 +125,7 @@ from repro.utils.validation import (
     nonprotected_indices,
 )
 
-PAIR_MODES = ("auto", "full", "sampled", "landmark")
+PAIR_MODES = ("auto", "full", "sampled")
 
 
 class IFairObjective:
@@ -159,31 +149,18 @@ class IFairObjective:
         otherwise pairs are sampled once at construction.
     pair_mode:
         ``"auto"`` (default: ``"sampled"`` iff ``max_pairs`` is set),
-        ``"full"``, ``"sampled"``, or ``"landmark"`` (see module
-        docstring).
-    n_landmarks:
-        Anchor count L for ``pair_mode="landmark"``; defaults to
-        ``min(M, 128)``.  Capped at M; at ``L = M`` the landmark loss
-        equals the full-pair loss.
-    landmark_method:
-        ``"kmeans++"`` (default) or ``"farthest"`` anchor seeding.
-    landmarks:
-        Explicit anchor row indices (distinct); overrides
-        ``n_landmarks``/``landmark_method``.  Stored sorted, so anchor
-        ordering never affects results.
+        ``"full"`` or ``"sampled"`` (see module docstring).
     random_state:
-        Seeds the pair subsample and the landmark selection only.
+        Seeds the pair subsample only.
     precompute:
         ``True`` (default) builds the oracle's support structures
-        (centred records, pair subsample, landmark selection, centred
-        ``X*``) at construction.  ``False`` defers them until the first loss
+        (centred records, pair subsample, centred ``X*``) at
+        construction.  ``False`` defers them until the first loss
         evaluation: every parameter is still validated eagerly, so a
         parent process can construct-and-validate the oracle cheaply
         while worker processes (which rebuild it from the same inputs,
         or reuse a cached one) do the actual computing.
     """
-
-    DEFAULT_LANDMARKS = 128
 
     def __init__(
         self,
@@ -196,9 +173,6 @@ class IFairObjective:
         p: float = 2.0,
         max_pairs: Optional[int] = None,
         pair_mode: str = "auto",
-        n_landmarks: Optional[int] = None,
-        landmark_method: str = "kmeans++",
-        landmarks=None,
         random_state: RandomStateLike = 0,
         precompute: bool = True,
     ):
@@ -230,97 +204,29 @@ class IFairObjective:
             raise ValidationError(
                 f"max_pairs only applies to pair_mode='sampled', not {pair_mode!r}"
             )
-        if landmark_method not in LANDMARK_METHODS:
-            raise ValidationError(
-                f"landmark_method must be one of {LANDMARK_METHODS}, "
-                f"got {landmark_method!r}"
-            )
-        if pair_mode != "landmark" and (n_landmarks is not None or landmarks is not None):
-            raise ValidationError(
-                "n_landmarks/landmarks only apply to pair_mode='landmark'"
-            )
+        if pair_mode == "sampled" and max_pairs < 1:
+            # Eager even when the support structures are deferred: a bad
+            # parameter must raise here, in the constructing process,
+            # not inside a worker.
+            raise ValidationError("max_pairs must be positive")
         self.pair_mode = pair_mode
-        self.landmark_method = landmark_method
         self.lambda_util = float(lambda_util)
         self.mu_fair = float(mu_fair)
         self.n_prototypes = int(n_prototypes)
         self.p = float(p)
         self._ws = kernels.Workspace()
-
-        # Remaining validation stays eager even when the (possibly
-        # expensive) support structures are deferred — a bad parameter
-        # must raise here, in the constructing process, not inside a
-        # worker.
-        explicit_landmarks = None
-        resolved_landmarks = None
-        if pair_mode == "sampled":
-            if max_pairs < 1:
-                raise ValidationError("max_pairs must be positive")
-        elif pair_mode == "landmark":
-            if landmarks is not None:
-                explicit_landmarks = np.asarray(landmarks, dtype=np.int64).ravel()
-                if explicit_landmarks.size != np.unique(explicit_landmarks).size:
-                    raise ValidationError("landmark indices must be distinct")
-                if (
-                    explicit_landmarks.size < 1
-                    or explicit_landmarks.min() < 0
-                    or explicit_landmarks.max() >= m
-                ):
-                    raise ValidationError("landmark indices out of range")
-            else:
-                resolved_landmarks = (
-                    min(m, self.DEFAULT_LANDMARKS)
-                    if n_landmarks is None
-                    else int(n_landmarks)
-                )
-                if resolved_landmarks < 1:
-                    raise ValidationError("n_landmarks must be at least 1")
-                resolved_landmarks = min(resolved_landmarks, m)
-        self._precompute_args = (
-            max_pairs,
-            explicit_landmarks,
-            resolved_landmarks,
-            random_state,
-        )
+        self._precompute_args = (max_pairs, random_state)
 
         # Centred records X_c, their column means and (p = 2 only) X_c**2.
         self._Xc: Optional[np.ndarray] = None
         self._x_mean: Optional[np.ndarray] = None
         self._Xc_sq: Optional[np.ndarray] = None
-        # The pair mode's fairness kernel (FullPairFairness, PairScatter
-        # or LandmarkFairness), called as ``loss_row_grad``.
+        # The pair mode's fairness kernel (FullPairFairness or
+        # PairScatter), called as ``loss_row_grad``.
         self._fair = None
-        self._anchor_cache: Optional[np.ndarray] = None
         self._ready = False
         if precompute:
             self.ensure_ready()
-
-    def _anchor_indices(self) -> np.ndarray:
-        """Sorted anchor row indices of landmark mode (cached).
-
-        Much cheaper than :meth:`ensure_ready`: only the anchor
-        *selection* runs, not the fairness-kernel precompute — the
-        parent of a process-parallel fit needs the indices (for
-        ``IFair.landmarks_``) but never evaluates the loss.
-        """
-        if self._anchor_cache is None:
-            _, explicit_landmarks, n_land, random_state = self._precompute_args
-            if explicit_landmarks is not None:
-                idx = explicit_landmarks
-            else:
-                with get_tracer().span(
-                    "fit.landmark_select",
-                    n_records=int(self.X.shape[0]),
-                    method=self.landmark_method,
-                ):
-                    idx = select_landmarks(
-                        self.X[:, self.nonprotected],
-                        n_land,
-                        method=self.landmark_method,
-                        random_state=random_state,
-                    )
-            self._anchor_cache = np.sort(np.asarray(idx, dtype=np.int64))
-        return self._anchor_cache
 
     def ensure_ready(self) -> None:
         """Build the oracle support structures (idempotent).
@@ -346,12 +252,12 @@ class IFairObjective:
 
     def _build_support(self) -> None:
         m = self.X.shape[0]
-        max_pairs, _, _, random_state = self._precompute_args
+        max_pairs, random_state = self._precompute_args
         # X is fixed for the objective's lifetime, so it is centred once,
         # and the elementwise square the p = 2 GEMM forward and
         # grad_alpha use is taken of the centred records.  Workspace
-        # buffers are thread-local, so one objective can serve parallel
-        # restarts.
+        # buffers are thread-local, so one objective can serve several
+        # threads.
         self._x_mean = self.X.mean(axis=0)
         self._Xc = self.X - self._x_mean
         self._Xc_sq = self._Xc * self._Xc if self.p == 2.0 else None
@@ -359,7 +265,7 @@ class IFairObjective:
         if self.pair_mode == "full":
             # Centred X* and its Gram norm; no (M, M) target matrix.
             self._fair = kernels.FullPairFairness(X_star)
-        elif self.pair_mode == "sampled":
+        else:  # sampled
             rng = check_random_state(random_state)
             total = m * (m - 1) // 2
             n_pairs = min(int(max_pairs), total)
@@ -367,11 +273,6 @@ class IFairObjective:
             flat = rng.choice(total, size=n_pairs, replace=False)
             ii, jj = _triu_unravel(flat, m)
             self._fair = kernels.PairScatter(ii, jj, X_star)
-        else:  # landmark
-            idx = self._anchor_indices()
-            # Scale M/L makes the landmark sum estimate the full
-            # ordered-pair sum, so mu_fair transfers across modes.
-            self._fair = kernels.LandmarkFairness(X_star, idx, scale=m / idx.size)
 
     # ------------------------------------------------------------------
     # Parameter packing
@@ -388,33 +289,16 @@ class IFairObjective:
 
     @property
     def effective_pairs(self) -> int:
-        """Ordered-pair count the fairness loss represents.
+        """Pair count the fairness loss sums.
 
-        ``full`` and ``landmark`` both report ``M^2`` — the landmark
-        loss is rescaled by ``M / L`` to estimate the full ordered-pair
-        sum, so a given ``mu_fair`` carries the same weight in either
-        mode.  ``sampled`` reports the raw sampled-pair count (the
-        historical, unscaled semantics).
+        ``full`` reports ``M^2`` ordered pairs; ``sampled`` reports the
+        raw sampled-pair count (the historical, unscaled semantics).
         """
         m = self.X.shape[0]
         if self.pair_mode == "sampled":
             self.ensure_ready()
             return self._fair.n_pairs
         return m * m
-
-    @property
-    def n_landmarks(self) -> Optional[int]:
-        """Anchor count L in landmark mode, else ``None``."""
-        if self.pair_mode != "landmark":
-            return None
-        return int(self._anchor_indices().size)
-
-    @property
-    def landmark_indices(self) -> Optional[np.ndarray]:
-        """Sorted anchor row indices in landmark mode, else ``None``."""
-        if self.pair_mode != "landmark":
-            return None
-        return self._anchor_indices()
 
     def pack(self, V: np.ndarray, alpha: np.ndarray) -> np.ndarray:
         """Concatenate prototypes and weights into one flat vector."""

@@ -68,9 +68,6 @@ from repro.utils.mathkit import harmonic_mean
 
 MIXTURE_GRID: Tuple[float, ...] = (0.0, 0.05, 0.1, 1.0, 10.0, 100.0)
 PROTOTYPE_GRID: Tuple[int, ...] = (10, 20, 30)
-# Anchor counts searched when the landmark fairness oracle is enabled;
-# accuracy grows with L while each oracle call stays O(M * L * N).
-LANDMARK_GRID: Tuple[int, ...] = (32, 64, 128)
 
 TUNING_STRATEGIES = ("exhaustive", "halving")
 PROMOTE_MODES = ("rank", "extrapolate")
@@ -95,30 +92,17 @@ class TuningCriterion(enum.Enum):
 def default_hyper_grid(
     mixtures: Sequence[float] = MIXTURE_GRID,
     prototypes: Sequence[int] = PROTOTYPE_GRID,
-    landmarks: Optional[Sequence[int]] = None,
 ) -> List[Dict[str, float]]:
     """The paper's grid: all (lambda, mu, K) combinations.
 
     The degenerate corner lambda = mu = 0 (nothing to optimise) is
-    dropped.  Passing ``landmarks`` (e.g. :data:`LANDMARK_GRID`)
-    crosses the grid with the landmark fairness oracle's anchor count:
-    each point gains ``pair_mode="landmark"`` and one ``n_landmarks``
-    value, making the accuracy-vs-cost knob of the large-M oracle a
-    first-class tunable.
+    dropped.
     """
     grid = []
     for lam, mu, k in itertools.product(mixtures, mixtures, prototypes):
         if lam == 0.0 and mu == 0.0:
             continue
-        base = {"lambda_util": lam, "mu_fair": mu, "n_prototypes": int(k)}
-        if landmarks is None:
-            grid.append(base)
-            continue
-        for n_land in landmarks:
-            point = dict(base)
-            point["pair_mode"] = "landmark"
-            point["n_landmarks"] = int(n_land)
-            grid.append(point)
+        grid.append({"lambda_util": lam, "mu_fair": mu, "n_prototypes": int(k)})
     return grid
 
 

@@ -26,7 +26,6 @@ from repro.core.tuning import (
     TUNING_STRATEGIES,
 )
 from repro.exceptions import ValidationError
-from repro.utils.landmarks import LANDMARK_METHODS
 
 
 @dataclass(frozen=True)
@@ -47,13 +46,7 @@ class ExperimentConfig:
         Cap on fairness-loss pairs (None = exact full sum).
     pair_mode:
         Fairness-oracle mode for iFair fits: ``"auto"`` (default;
-        sampled iff ``max_pairs`` set), ``"full"``, ``"sampled"``, or
-        ``"landmark"`` (the O(M * L * N) large-M oracle).
-    n_landmarks:
-        Anchor count when ``pair_mode="landmark"`` (None = the model
-        default, min(M, 128)).
-    landmark_method:
-        ``"kmeans++"`` or ``"farthest"`` anchor seeding.
+        sampled iff ``max_pairs`` set), ``"full"`` or ``"sampled"``.
     tune_jobs:
         Candidate fits of the tuning protocol run on this many worker
         processes (``None``/1 serial, ``-1`` per CPU).  Results are
@@ -104,8 +97,6 @@ class ExperimentConfig:
     max_iter: int = 60
     max_pairs: Optional[int] = 2500
     pair_mode: str = "auto"
-    n_landmarks: Optional[int] = None
-    landmark_method: str = "kmeans++"
     tune_jobs: Optional[int] = None
     tune_strategy: str = "exhaustive"
     tune_pool: str = "per-call"
@@ -131,12 +122,6 @@ class ExperimentConfig:
             raise ValidationError("consistency_k must be positive")
         if self.pair_mode not in PAIR_MODES:
             raise ValidationError(f"pair_mode must be one of {PAIR_MODES}")
-        if self.landmark_method not in LANDMARK_METHODS:
-            raise ValidationError(
-                f"landmark_method must be one of {LANDMARK_METHODS}"
-            )
-        if self.n_landmarks is not None and self.n_landmarks < 1:
-            raise ValidationError("n_landmarks must be positive")
         effective_n_jobs(self.tune_jobs)  # validates the knob's range
         if self.tune_strategy not in TUNING_STRATEGIES:
             raise ValidationError(

@@ -219,10 +219,7 @@ class IFairMethod(RepresentationMethod):
             max_iter=int(self.params.get("max_iter", 100)),
             max_pairs=self.params.get("max_pairs"),
             pair_mode=str(self.params.get("pair_mode", "auto")),
-            n_landmarks=self.params.get("n_landmarks"),
-            landmark_method=str(self.params.get("landmark_method", "kmeans++")),
             n_jobs=self.params.get("n_jobs"),
-            backend=str(self.params.get("backend", "process")),
             warm_start_theta=self.params.get("warm_start_theta"),
             random_state=context.random_state,
         )
@@ -253,13 +250,7 @@ class IFairMethod(RepresentationMethod):
                 "max_iter": config.max_iter,
                 "max_pairs": config.max_pairs,
             }
-            if config.pair_mode == "landmark":
-                # The landmark oracle replaces pair subsampling.
-                point["max_pairs"] = None
-                point["pair_mode"] = "landmark"
-                point["n_landmarks"] = config.n_landmarks
-                point["landmark_method"] = config.landmark_method
-            elif config.pair_mode != "auto":
+            if config.pair_mode != "auto":
                 point["pair_mode"] = config.pair_mode
                 if config.pair_mode == "full":
                     point["max_pairs"] = None

@@ -112,12 +112,10 @@ def _model_manifest(model: IFair) -> Dict:
         "loss": float(model.loss_),
         "shape": list(model.prototypes_.shape),
         "pair_mode": model.pair_mode,
+        # The pair budget resolves pair_mode="auto", so online refits
+        # optimise the objective the served model was fitted on.
+        "max_pairs": model.max_pairs,
     }
-    if model.landmarks_ is not None:
-        # Fairness-oracle provenance: anchor count + seeding strategy
-        # (the anchor indices themselves ride in the array payload).
-        manifest["n_landmarks"] = int(model.landmarks_.size)
-        manifest["landmark_method"] = model.landmark_method
     return manifest
 
 
@@ -137,8 +135,6 @@ def artifact_payload(artifact: ServingArtifact) -> "tuple[Dict, Dict[str, np.nda
         "model.alpha": artifact.model.alpha_,
         "protected_indices": artifact.protected_indices.astype(np.int64),
     }
-    if artifact.model.landmarks_ is not None:
-        arrays["model.landmarks"] = artifact.model.landmarks_.astype(np.int64)
     manifest: Dict = {
         "format": ARTIFACT_FORMAT,
         "version": ARTIFACT_VERSION,
@@ -271,28 +267,34 @@ def _load_model(manifest: Dict, arrays: Dict[str, np.ndarray]) -> IFair:
         )
     if alpha.shape != (prototypes.shape[1],):
         raise ArtifactError("alpha length disagrees with prototype width")
+    # Anchor indices of the retired landmark pair mode, which transform
+    # never used: an old artifact's payload is still checked, then the
+    # anchors are dropped.
+    if "model.landmarks" in arrays and "n_landmarks" in spec:
+        if int(spec["n_landmarks"]) != arrays["model.landmarks"].size:
+            raise ArtifactError(
+                "landmark count disagrees between manifest and array payload"
+            )
+    # Optional keys: absent in older (still version-1) artifacts, which
+    # load exactly as before.
+    pair_mode = str(spec.get("pair_mode", "auto"))
+    if pair_mode == "landmark":
+        # The exact objective the landmark loss (scaled by M / L)
+        # estimated, so an online refit of an old artifact still runs.
+        pair_mode = "full"
+    max_pairs = spec.get("max_pairs")
     model = IFair(
         n_prototypes=int(spec["n_prototypes"]),
         lambda_util=float(spec["lambda_util"]),
         mu_fair=float(spec["mu_fair"]),
         p=float(spec["p"]),
         init=str(spec["init"]),
-        # Optional keys: absent in pre-landmark (still version-1)
-        # artifacts, which load exactly as before.
-        pair_mode=str(spec.get("pair_mode", "auto")),
-        n_landmarks=spec.get("n_landmarks"),
-        landmark_method=str(spec.get("landmark_method", "kmeans++")),
+        pair_mode=pair_mode,
+        max_pairs=None if max_pairs is None else int(max_pairs),
     )
     model.prototypes_ = prototypes
     model.alpha_ = alpha
     model.loss_ = float(spec.get("loss", np.inf))
-    if "model.landmarks" in arrays:
-        landmarks = np.asarray(arrays["model.landmarks"], dtype=np.int64)
-        if "n_landmarks" in spec and int(spec["n_landmarks"]) != landmarks.size:
-            raise ArtifactError(
-                "landmark count disagrees between manifest and array payload"
-            )
-        model.landmarks_ = landmarks
     return model
 
 

@@ -143,12 +143,9 @@ def fit_serving_pipeline(
     max_iter: int = 100,
     max_pairs: Optional[int] = 2000,
     pair_mode: str = "auto",
-    n_landmarks: Optional[int] = None,
-    landmark_method: str = "kmeans++",
     criterion: str = "parity",
     scorer_l2: float = 1.0,
     n_jobs: Optional[int] = None,
-    backend: str = "process",
     pool: str = "per-call",
     tune: bool = False,
     tune_criterion: str = "optimal",
@@ -162,11 +159,11 @@ def fit_serving_pipeline(
     Classification datasets get the full stack; ranking datasets (real-
     valued ``y``) get scaler + iFair + a scorer trained on the median
     split of the scores, but no thresholds (``decide`` is a
-    classification verb).  ``pair_mode="landmark"`` switches the
-    fairness oracle to the large-M landmark approximation (and drops
-    the default pair subsample, which only applies to ``sampled``).
+    classification verb).  ``pair_mode="full"`` switches the fairness
+    oracle to the exact ordered-pair sum (and drops the default pair
+    subsample, which only applies to ``sampled``).
 
-    ``n_jobs``/``backend`` parallelise the fit's restarts; ``tune``
+    ``n_jobs`` runs the fit's restarts on worker processes; ``tune``
     grid-searches the mixture coefficients first (see module
     docstring), overriding ``lambda_util``/``mu_fair`` with the
     winner before the final full-data fit.  ``pool="session"`` runs
@@ -180,7 +177,7 @@ def fit_serving_pipeline(
     """
     if dataset.n_records < 10:
         raise ValidationError("serving pipeline needs at least 10 records")
-    if pair_mode in ("full", "landmark"):
+    if pair_mode == "full":
         max_pairs = None
     model_params = {
         "n_prototypes": n_prototypes,
@@ -191,10 +188,7 @@ def fit_serving_pipeline(
         "max_iter": max_iter,
         "max_pairs": max_pairs,
         "pair_mode": pair_mode,
-        "n_landmarks": n_landmarks,
-        "landmark_method": landmark_method,
         "n_jobs": n_jobs,
-        "backend": backend,
         "pool": pool,
         "random_state": random_state,
     }
@@ -254,9 +248,6 @@ def fit_serving_pipeline(
             "criterion": criterion if thresholds is not None else None,
             "ifair_loss": float(model.loss_),
             "pair_mode": pair_mode,
-            "n_landmarks": (
-                None if model.landmarks_ is None else int(model.landmarks_.size)
-            ),
             "tuned": tuned_params,
             "tune_criterion": tune_criterion if tune else None,
         },

@@ -18,7 +18,8 @@ The controller runs on one daemon thread next to the HTTP front end:
    flags (merged across worker processes through their relabelled
    ``fairness_drift`` gauges) and a covariate-shift statistic — the
    mean nearest-anchor distance of the window over its baseline value
-   (:func:`repro.utils.landmarks.anchor_assignment_cost`).  The
+   (:func:`repro.utils.landmarks.anchor_assignment_cost`), with
+   ``min(32, W // 4)`` anchors chosen on a window of ``W`` rows.  The
    baseline freezes at the *median* of ``calibration_ticks`` window
    costs and the published ratio is EMA-smoothed
    (``shift_smoothing``), so tick-to-tick window-composition noise
@@ -77,6 +78,10 @@ DRIFT_POLICIES = ("monitor", "shift", "either", "both")
 #: Raw payloads buffered between control ticks.  Bounds parent-side
 #: memory under request storms; the window itself has its own bound.
 _TAP_CAPACITY = 1024
+
+#: Anchors of the covariate-shift statistic, capped at a quarter of the
+#: window's rows (see :meth:`OnlineController._n_anchors`).
+_SHIFT_ANCHORS = 32
 
 
 @dataclass(frozen=True)
@@ -377,17 +382,12 @@ class OnlineController:
         self._shift = (1.0 - alpha) * self._shift + alpha * raw
         self._shift_gauge.set(self._shift)
 
-    def _n_anchors(self, window_rows: int) -> int:
-        model = self.engine.artifact.model
-        configured = model.n_landmarks
-        if configured is None and model.landmarks_ is not None:
-            configured = int(model.landmarks_.size)
-        if configured is None:
-            configured = 32
+    @staticmethod
+    def _n_anchors(window_rows: int) -> int:
         # The coverage statistic needs L well below M: with L ~ M every
         # row is its own anchor, the baseline cost collapses to zero,
         # and the shift ratio degenerates to a constant 1.0.
-        return max(1, min(int(configured), int(window_rows) // 4))
+        return max(1, min(_SHIFT_ANCHORS, int(window_rows) // 4))
 
     def _drift_flagged(self) -> bool:
         flags = getattr(self.engine, "drift_flags", None)
@@ -435,7 +435,6 @@ class OnlineController:
             n_restarts=self.policy.refit_restarts,
             max_iter=self.policy.refit_max_iter,
             n_jobs=None,
-            backend="process",
             pool="per-call",
             warm_start_theta=None,
         )

@@ -47,7 +47,7 @@ results do not depend on the batch height.
 
 Fairness terms
 --------------
-Each pair mode of the objective has one fairness kernel, and all three
+Each pair mode of the objective has one fairness kernel, and both
 share one call on the factors of :math:`\tilde X = U V`, in the
 objective's centred coordinates: ``loss_row_grad(U, Vc, A, W)`` with
 the memberships ``U`` (rows summing to 1), the row-centred prototypes
@@ -75,19 +75,20 @@ returning ``(loss, grad_V, dU, Q)``:
   to ``U``: the pair differences of the memberships carry what the
   pair differences of :math:`\tilde X` do, at ``O(max_pairs * K^2)``
   per call instead of ``O(max_pairs * N)``.
-* :class:`LandmarkFairness` (``landmark``) — the pair loss against
-  ``L`` anchor records, evaluated in row blocks: ``O(M * L * N)`` time
-  and ``O(B * L)`` transient memory.  It computes each error entry
-  directly, so it keeps full relative accuracy when a fit drives
-  :math:`\tilde D \to D^*`, and its cross-block loss accumulation runs
-  through :class:`CompensatedSum` (Neumaier compensated summation).
-  It forms :math:`\tilde X_c = U V_c` and its ``(M, N)`` gradient
-  inside ``loss_row_grad``; ``loss(X_tilde)`` and
-  ``loss_and_grad_x(X_tilde)`` work on a given transform.
+
+:class:`LandmarkFairness` is not an iFair pair mode: it is the kernel
+of LFR's optional individual-fairness regulariser
+(:mod:`repro.baselines.lfr`), the pair loss against ``L`` anchor
+records evaluated in row blocks on a given transform
+(``loss(X_tilde)``, ``loss_and_grad_x(X_tilde)``): ``O(M * L * N)``
+time and ``O(B * L)`` transient memory.  It computes each error entry
+directly, so it keeps full relative accuracy when a fit drives
+:math:`\tilde D \to D^*`, and its cross-block loss accumulation runs
+through :class:`CompensatedSum` (Neumaier compensated summation).
 
 Everything here is thread-safe; :class:`Workspace` hands out
-*thread-local* reusable buffers so parallel restarts can share one
-objective without data races.
+*thread-local* reusable buffers so threads can share one objective
+without data races.
 """
 
 from __future__ import annotations
@@ -126,8 +127,8 @@ class Workspace:
     after refitting with different K).
 
     Buffers live in ``threading.local`` storage so concurrent callers
-    (parallel restarts sharing one objective) never hand each other
-    the same memory.
+    (threads sharing one objective) never hand each other the same
+    memory.
     """
 
     def __init__(self):
@@ -667,6 +668,7 @@ def minkowski_backward(
 class LandmarkFairness:
     r"""Landmark (Nystrom-style) fairness loss/gradient, row-blocked.
 
+    The kernel of LFR's optional individual-fairness regulariser.
     Approximates the full ordered-pair fairness term through ``L``
     anchor records ``a_1..a_L`` (row indices into the training matrix):
 
@@ -679,9 +681,9 @@ class LandmarkFairness:
     :math:`D^*` is the fixed squared-Euclidean target on the
     non-protected attributes, and ``w = scale`` (``M / L`` by
     convention) rescales the ``M * L`` pair sum to estimate the full
-    ``M^2`` ordered-pair sum — so ``mu_fair`` keeps one meaning across
-    pair modes, and at ``L = M`` (anchors = every record) the scaled
-    loss *equals* the full-pair loss.
+    ``M^2`` ordered-pair sum — so ``mu_fair`` weighs it as it weighs
+    iFair's exact term, and at ``L = M`` (anchors = every record) the
+    scaled loss *equals* the full-pair loss.
 
     The gradient w.r.t. :math:`\tilde X` carries both roles a record
     can play — row ``i`` of the pair sum and anchor ``a_l`` (anchors
@@ -830,21 +832,3 @@ class LandmarkFairness:
         EtX *= w4
         G[idx] -= EtX
         return self.scale * acc.result, G
-
-    def loss_row_grad(
-        self, U: np.ndarray, Vc: np.ndarray, A=None, W=None
-    ) -> Tuple[float, np.ndarray, np.ndarray, None]:
-        """(scaled loss, dL/dV, dL/dU up to a constant per row, None).
-
-        The common fairness-kernel call (module docstring); ``A`` and
-        ``W`` are unused.  The blocked landmark sum needs the transform
-        itself, so this kernel forms :math:`\\tilde X_c = U V_c` and its
-        gradient ``G`` (both ``(M, N)``, thread-local) and returns
-        ``U^T G`` and ``G V_c^T``.  The ``(M, K)`` term is returned in a
-        reusable thread-local buffer; consume it before the next call.
-        """
-        m, k = U.shape
-        X_tilde = np.matmul(U, Vc, out=self._ws.take("x_tilde", (m, Vc.shape[1])))
-        loss, G = self.loss_and_grad_x(X_tilde)
-        dL_dU = np.matmul(G, Vc.T, out=self._ws.take("du", (m, k)))
-        return loss, U.T @ G, dL_dU, None

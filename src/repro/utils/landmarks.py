@@ -1,7 +1,9 @@
-"""Landmark (anchor) selection for the large-M fairness oracle.
+"""Landmark (anchor) selection.
 
-The landmark fairness oracle (:class:`repro.utils.kernels.LandmarkFairness`)
-approximates the full ordered-pair loss through ``L`` anchor records.
+Two callers choose anchors here: LFR's landmark fairness regulariser
+(:class:`repro.utils.kernels.LandmarkFairness`), which approximates the
+full ordered-pair loss through ``L`` anchor records, and the serving
+drift detector (:func:`refresh_landmarks`, :func:`anchor_assignment_cost`).
 Approximation quality hinges on the anchors covering the data's
 geometry, so two classic coverage seedings are provided:
 

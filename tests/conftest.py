@@ -7,6 +7,7 @@ and invariants, not statistical power.  Benchmark-scale runs live in
 Besides the dataset fixtures, this module provides the seeded
 *factory* fixtures (``make_data``, ``make_objective``, ``make_theta``,
 ``make_kernel_case``) that replace per-file copy-pasted array setup,
+the ``make_landmark_era_artifact`` builder of old-format artifacts,
 the ``keep_alive_median_rtt`` probe shared by both serving tiers' tests,
 and registers the Hypothesis profiles: ``default`` for interactive and
 CI runs, ``nightly`` (selected via ``HYPOTHESIS_PROFILE=nightly``) for
@@ -15,8 +16,12 @@ the scheduled high-budget property sweep.
 
 from __future__ import annotations
 
+import hashlib
 import http.client
+import io
+import json
 import os
+import shutil
 import statistics
 import time
 
@@ -120,6 +125,40 @@ def make_kernel_case():
         V = case_rng.normal(size=(k, n))
         alpha = case_rng.uniform(0.1, 1.0, size=n)
         return X, V, alpha
+
+    return _make
+
+
+@pytest.fixture
+def make_landmark_era_artifact():
+    """Copy a saved artifact into the format of the retired landmark
+    pair mode: the model manifest gains ``pair_mode="landmark"``,
+    ``n_landmarks`` and ``landmark_method`` and loses ``max_pairs``, the
+    payload gains a ``model.landmarks`` anchor array, and the payload
+    digest is recomputed so the checksum still passes.
+    """
+
+    def _make(src, dest, *, n_landmarks=16):
+        shutil.copytree(src, dest)
+        with open(os.path.join(dest, "manifest.json")) as fh:
+            manifest = json.load(fh)
+        with np.load(os.path.join(dest, "arrays.npz")) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        arrays["model.landmarks"] = np.arange(n_landmarks, dtype=np.int64) * 2
+        buffer = io.BytesIO()
+        np.savez(buffer, **arrays)
+        payload = buffer.getvalue()
+        model = manifest["model"]
+        model.pop("max_pairs", None)
+        model.update(
+            pair_mode="landmark", n_landmarks=n_landmarks, landmark_method="farthest"
+        )
+        manifest["arrays_sha256"] = hashlib.sha256(payload).hexdigest()
+        with open(os.path.join(dest, "arrays.npz"), "wb") as fh:
+            fh.write(payload)
+        with open(os.path.join(dest, "manifest.json"), "w") as fh:
+            json.dump(manifest, fh)
+        return dest
 
     return _make
 

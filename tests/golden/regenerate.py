@@ -1,11 +1,13 @@
 """Regenerate the golden-reference fixture corpus (``cases.json``).
 
 The golden corpus pins the iFair oracle's observable behaviour —
-loss, loss components, analytic gradient, transform output, and (for
-landmark mode) the selected anchors — for every fairness pair mode
-(``full``, ``sampled``, ``landmark``) on small frozen inputs, so a
-regression of the oracle breaks against committed numbers, not just
-against an in-process comparison.
+loss, loss components, analytic gradient and transform output — for
+both fairness pair modes (``full``, ``sampled``) on small frozen
+inputs, so a regression of the oracle breaks against committed
+numbers, not just against an in-process comparison.  Its ``anchors``
+section pins :func:`repro.utils.landmarks.select_landmarks` (the
+anchors of LFR's regulariser and the drift detector) on the same
+inputs.
 
 Each case records a ``fast_kernels`` provenance field.  Cases marked
 ``False`` are computed by the test oracle (``tests/oracle_reference.py``:
@@ -42,6 +44,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
 
 from oracle_reference import ReferenceObjective  # noqa: E402
 from repro.core.objective import IFairObjective  # noqa: E402
+from repro.utils.landmarks import select_landmarks  # noqa: E402
 
 OUT_PATH = os.path.join(os.path.dirname(__file__), "cases.json")
 
@@ -60,35 +63,48 @@ CASES = {
     "sampled_p2_fast": dict(p=2.0, max_pairs=20, fast_kernels=True),
     "sampled_p2_reference": dict(p=2.0, max_pairs=20, fast_kernels=False),
     "sampled_p3_reference": dict(p=3.0, max_pairs=20, fast_kernels=True),
-    "landmark_p2_fast": dict(
-        p=2.0, pair_mode="landmark", n_landmarks=5, fast_kernels=True
-    ),
-    "landmark_p2_blocked": dict(
-        p=2.0, pair_mode="landmark", n_landmarks=5, fast_kernels=False
-    ),
-    "landmark_p3_blocked": dict(
-        p=3.0, pair_mode="landmark", n_landmarks=5, fast_kernels=True
-    ),
-    "landmark_farthest_p2_fast": dict(
-        p=2.0,
-        pair_mode="landmark",
-        n_landmarks=5,
-        landmark_method="farthest",
-        fast_kernels=True,
-    ),
-    # L = M: the landmark loss must equal the full-pair loss (the
-    # acceptance criterion pins these against the full_* cases).
-    "landmark_LM_p2_fast": dict(
-        p=2.0, pair_mode="landmark", n_landmarks=M, fast_kernels=True
-    ),
-    "landmark_LM_p3_blocked": dict(
-        p=3.0, pair_mode="landmark", n_landmarks=M, fast_kernels=True
-    ),
+}
+
+# name -> (anchor count, selection method).  The names are those of the
+# landmark pair-mode cases that first froze these selections.
+ANCHOR_CASES = {
+    "landmark_p2_fast": (5, "kmeans++"),
+    "landmark_p2_blocked": (5, "kmeans++"),
+    "landmark_p3_blocked": (5, "kmeans++"),
+    "landmark_farthest_p2_fast": (5, "farthest"),
+    "landmark_LM_p2_fast": (M, "kmeans++"),
+    "landmark_LM_p3_blocked": (M, "kmeans++"),
 }
 
 
+def _inputs() -> np.ndarray:
+    return np.random.default_rng(20260727).normal(size=(M, N))
+
+
+def build_anchors() -> dict:
+    X = _inputs()
+    X_star = np.delete(X, PROTECTED, axis=1)
+    cases = []
+    for name, (n_landmarks, method) in ANCHOR_CASES.items():
+        idx = select_landmarks(X_star, n_landmarks, method=method, random_state=11)
+        cases.append(
+            {
+                "name": name,
+                "n_landmarks": n_landmarks,
+                "method": method,
+                "landmarks": np.sort(idx).tolist(),
+            }
+        )
+    return {
+        "X": X.tolist(),
+        "protected": PROTECTED,
+        "random_state": 11,
+        "cases": cases,
+    }
+
+
 def build_case(name: str, kwargs: dict) -> dict:
-    X = np.random.default_rng(20260727).normal(size=(M, N))
+    X = _inputs()
     params = {key: value for key, value in kwargs.items() if key != "fast_kernels"}
     oracle = IFairObjective if kwargs["fast_kernels"] else ReferenceObjective
     objective = oracle(
@@ -127,8 +143,6 @@ def build_case(name: str, kwargs: dict) -> dict:
             "effective_pairs": objective.effective_pairs,
         },
     }
-    if objective.landmark_indices is not None:
-        record["expected"]["landmarks"] = objective.landmark_indices.tolist()
     return record
 
 
@@ -142,6 +156,7 @@ def main() -> None:
             "only after an intentional behaviour change."
         ),
         "cases": [build_case(name, kwargs) for name, kwargs in CASES.items()],
+        "anchors": build_anchors(),
     }
     with open(OUT_PATH, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)

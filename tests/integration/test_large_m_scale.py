@@ -1,13 +1,11 @@
-"""Acceptance: landmark mode trains at M = 20,000 with no O(M^2) state.
+"""Acceptance: the exact full-pair oracle trains at M = 20,000 with no
+O(M^2) state.
 
 A dense full-pair target would be an (M, M) float64 matrix — 3.2 GB
-at this M — so simply *running* these fits is already evidence;
-the structural checks additionally walk every array the oracle holds
-and bound the largest one, and the generic-p fit proves the blocked
-kernels keep the (M, K, N) tensor out of play (it would be another
-O(M * K * N) = 360 MB per L-BFGS evaluation at these shapes if
-materialised in one piece — trivial next to the 6.4 GB of the pair
-structures, but the landmark contract promises blocks).
+at this M — so simply *running* these fits is already evidence; the
+structural checks additionally walk every array the oracle holds and
+bound the largest one, and the generic-p fit proves the row-blocked
+distance kernels keep the (M, K, N) tensor out of play.
 """
 
 import numpy as np
@@ -17,7 +15,7 @@ from repro.core.model import IFair
 from repro.core.objective import IFairObjective
 from repro.utils import kernels
 
-M, N, K, L = 20_000, 6, 3, 32
+M, N, K = 20_000, 6, 3
 
 
 @pytest.fixture(scope="module")
@@ -54,14 +52,12 @@ def test_trains_at_twenty_thousand_records(big_X, p):
     model = IFair(
         n_prototypes=K,
         p=p,
-        pair_mode="landmark",
-        n_landmarks=L,
+        pair_mode="full",
         n_restarts=1,
         max_iter=3,
         random_state=0,
     ).fit(big_X, [N - 1])
     assert np.isfinite(model.loss_)
-    assert model.landmarks_.size == L
     # Chunked inference on the full matrix stays exact.
     Z = model.transform(big_X[:4096], batch_size=512)
     assert Z.shape == (4096, N)
@@ -70,21 +66,15 @@ def test_trains_at_twenty_thousand_records(big_X, p):
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_oracle_state_is_far_below_m_squared(big_X, p):
     objective = IFairObjective(
-        big_X,
-        [N - 1],
-        n_prototypes=K,
-        p=p,
-        pair_mode="landmark",
-        n_landmarks=L,
-        random_state=0,
+        big_X, [N - 1], n_prototypes=K, p=p, pair_mode="full", random_state=0
     )
     theta = np.random.default_rng(1).uniform(0.1, 0.9, size=objective.n_params)
     loss, grad = objective.loss_and_grad(theta)
     assert np.isfinite(loss)
     assert grad.shape == (objective.n_params,)
     # Largest persistent array anywhere in the oracle (inputs, targets,
-    # workspaces) is O(M * L) / O(M * N) — nowhere near M * M, and the
-    # fairness kernel is the blocked landmark one.
-    assert isinstance(objective._fair, kernels.LandmarkFairness)
+    # workspaces) is O(M * N) — nowhere near M * M, and the fairness
+    # kernel is the K-space one.
+    assert isinstance(objective._fair, kernels.FullPairFairness)
     largest = _largest_held_array(objective)
-    assert largest <= M * max(L, N, K) < M * M // 100
+    assert largest <= M * max(N, K) < M * M // 100

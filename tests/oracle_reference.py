@@ -1,8 +1,9 @@
 """The test oracle of the iFair objective: einsum tensors and a dense D*.
 
 Production (:class:`repro.core.objective.IFairObjective`) evaluates the
-loss through the GEMM / row-blocked distance kernels and the K-space,
-sparse-scatter and blocked-landmark fairness kernels.  This module keeps
+loss through the GEMM / row-blocked distance kernels and the K-space
+and sparse-scatter fairness kernels; LFR's regulariser uses the
+blocked-landmark kernel (:func:`dense_landmark_reference`).  This module keeps
 the straightforward evaluation of the same formulas — ``(M, K, N)``
 difference tensors, the dense ``(M, M)`` target ``D*``, ``np.add.at``
 scatters — so tests can hold production to it.  It is slow and
@@ -46,9 +47,9 @@ class ReferenceObjective:
     computed by the reference formulas.
 
     A deferred production objective (``precompute=False``) validates
-    the parameters, packs theta and selects the landmark anchors;
-    nothing it computes enters the loss.  Sampled pairs are drawn with
-    the production recipe from the same ``random_state``.
+    the parameters and packs theta; nothing it computes enters the
+    loss.  Sampled pairs are drawn with the production recipe from the
+    same ``random_state``.
     """
 
     def __init__(self, X, protected_indices=None, *, random_state=0, **kwargs):
@@ -62,14 +63,12 @@ class ReferenceObjective:
         self.mu_fair = spec.mu_fair
         self.pair_mode = spec.pair_mode
         self.n_params = spec.n_params
-        self.landmark_indices = spec.landmark_indices
         X_star = spec.X[:, spec.nonprotected]
-        self._X_star = X_star
         self._pairs = None
         m = X_star.shape[0]
         if self.pair_mode == "full":
             self._d_star = pairwise_sq_euclidean(X_star)
-        elif self.pair_mode == "sampled":
+        else:
             total = m * (m - 1) // 2
             flat = check_random_state(random_state).choice(
                 total, size=min(int(kwargs["max_pairs"]), total), replace=False
@@ -78,8 +77,6 @@ class ReferenceObjective:
             self._pairs = (ii, jj)
             diff = X_star[ii] - X_star[jj]
             self._d_star = np.sum(diff * diff, axis=1)
-        else:
-            self._scale = m / self.landmark_indices.size
 
     @property
     def effective_pairs(self) -> int:
@@ -110,10 +107,6 @@ class ReferenceObjective:
 
     def _fair(self, X_tilde) -> Tuple[float, np.ndarray]:
         """(L_fair, dL_fair/dX_tilde) of the pair mode."""
-        if self.pair_mode == "landmark":
-            return dense_landmark_reference(
-                X_tilde, self._X_star, self.landmark_indices, self._scale
-            )
         if self._pairs is None:
             E = pairwise_sq_euclidean(X_tilde) - self._d_star
             row = E.sum(axis=1)

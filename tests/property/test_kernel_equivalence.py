@@ -2,13 +2,13 @@
 
 The iFair oracle has one production path — GEMM distance kernels at
 ``p == 2``, row-blocked Minkowski kernels otherwise, and the pair
-mode's fairness kernel (centred K-space form / sparse scatter /
-blocked landmarks).  The test oracle in ``tests/oracle_reference.py``
-evaluates the same formulas with ``(M, K, N)`` einsum tensors and a
-dense ``D*``.  These tests pin the two together at ``rtol = 1e-10``
-for the loss and the full gradient, across Minkowski exponents, all
-three pair modes (full / sampled / landmark), and protected sets, so
-any algebra drift in the kernels is caught immediately.
+mode's fairness kernel (centred K-space form / sparse scatter).  The
+test oracle in ``tests/oracle_reference.py`` evaluates the same
+formulas with ``(M, K, N)`` einsum tensors and a dense ``D*``.  These
+tests pin the two together at ``rtol = 1e-10`` for the loss and the
+full gradient, across Minkowski exponents, both pair modes (full /
+sampled), and protected sets, so any algebra drift in the kernels is
+caught immediately.
 
 Example budgets come from the Hypothesis profile registered in
 ``tests/conftest.py`` (``default``; ``HYPOTHESIS_PROFILE=nightly``
@@ -22,20 +22,18 @@ from hypothesis import given, strategies as st
 from repro.core.objective import IFairObjective
 from repro.utils import kernels
 
-from oracle_reference import ReferenceObjective
+from oracle_reference import ReferenceObjective, dense_landmark_reference
 
 RTOL = 1e-10
 ATOL = 1e-10
 
 
-def _pair_kwargs(pair_config, m):
+def _pair_kwargs(pair_config):
     """Translate a drawn pair configuration into objective kwargs."""
     kind, value = pair_config
     if kind == "full":
         return {}
-    if kind == "sampled":
-        return {"max_pairs": value}
-    return {"pair_mode": "landmark", "n_landmarks": min(value, m)}
+    return {"max_pairs": value}
 
 
 def _pair(X, protected, *, p, pair_config, lam=1.0, mu=1.0, k=3, seed=0):
@@ -46,7 +44,7 @@ def _pair(X, protected, *, p, pair_config, lam=1.0, mu=1.0, k=3, seed=0):
         n_prototypes=k,
         p=p,
         random_state=seed,
-        **_pair_kwargs(pair_config, X.shape[0]),
+        **_pair_kwargs(pair_config),
     )
     fast = IFairObjective(X, protected, **kwargs)
     ref = ReferenceObjective(X, protected, **kwargs)
@@ -66,9 +64,6 @@ def equivalence_cases(draw):
                 ("full", None),
                 ("sampled", 5),
                 ("sampled", 25),
-                ("landmark", 3),
-                ("landmark", 6),
-                ("landmark", 10_000),  # capped at m: the L = M case
             ]
         )
     )
@@ -123,7 +118,7 @@ class TestFastMatchesReference:
         """Edge protected sets, all pair modes, loss + grad at 1e-10."""
         X = make_data(14, 5, seed=7)
         for protected in (None, [], [4], [2, 3, 4]):
-            for pair_config in (("full", None), ("sampled", 8), ("landmark", 5)):
+            for pair_config in (("full", None), ("sampled", 8)):
                 fast, ref = _pair(
                     X, protected, p=2.0, pair_config=pair_config, seed=11
                 )
@@ -154,9 +149,9 @@ class TestFastMatchesReference:
             (2.0, ["weighted_sq_dists_gemm", "sq_dist_backward"]),
             (3.0, ["minkowski_dists_blocked", "minkowski_backward_blocked"]),
         ):
-            for pair_config in (("full", None), ("sampled", 8), ("landmark", 4)):
+            for pair_config in (("full", None), ("sampled", 8)):
                 objective = IFairObjective(
-                    X, [3], n_prototypes=2, p=p, **_pair_kwargs(pair_config, 10)
+                    X, [3], n_prototypes=2, p=p, **_pair_kwargs(pair_config)
                 )
                 calls.clear()
                 objective.loss_and_grad(np.full(objective.n_params, 0.5))
@@ -175,15 +170,19 @@ class TestFastMatchesReference:
             assert loss_fast == pytest.approx(loss_ref, rel=RTOL, abs=ATOL)
             np.testing.assert_allclose(grad_fast, grad_ref, rtol=RTOL, atol=ATOL)
 
-    def test_landmark_workspace_reuse_is_stateless(self, make_data):
-        """Same guard for the landmark kernels (blocked buffers +
-        anchor gather are all workspace-backed)."""
+    def test_landmark_workspace_reuse_is_stateless(self, make_data, monkeypatch):
+        """Same guard for LFR's landmark kernel (blocked buffers and
+        anchor gather are all workspace-backed), over several blocks."""
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 5 * 4)
         rng = np.random.default_rng(5)
-        X = make_data(12, 4, seed=5)
-        fast, ref = _pair(X, [3], p=2.0, pair_config=("landmark", 5))
-        thetas = [rng.uniform(0.1, 0.9, size=fast.n_params) for _ in range(4)]
-        for theta in thetas + thetas[::-1]:
-            loss_fast, grad_fast = fast.loss_and_grad(theta)
-            loss_ref, grad_ref = ref.loss_and_grad(theta)
-            assert loss_fast == pytest.approx(loss_ref, rel=RTOL, abs=ATOL)
-            np.testing.assert_allclose(grad_fast, grad_ref, rtol=RTOL, atol=ATOL)
+        X_star = make_data(12, 4, seed=5)[:, :3]
+        idx = np.array([0, 3, 5, 8, 11])
+        landmark = kernels.LandmarkFairness(X_star, idx)
+        transforms = [rng.normal(size=(12, 4)) for _ in range(4)]
+        for X_tilde in transforms + transforms[::-1]:
+            loss, grad = landmark.loss_and_grad_x(X_tilde)
+            loss_ref, grad_ref = dense_landmark_reference(
+                X_tilde, X_star, idx, landmark.scale
+            )
+            assert loss == pytest.approx(loss_ref, rel=RTOL, abs=ATOL)
+            np.testing.assert_allclose(grad, grad_ref, rtol=RTOL, atol=ATOL)

@@ -89,10 +89,10 @@ class TestCompareToBaseline:
     def test_gated_metrics_are_quick_stable(self, run_bench):
         # The gate may only hold quick entries against full-run
         # baselines for metrics whose problem shape does not depend on
-        # --quick: landmark rows (M differs) and absolute tuning rows
-        # (records/grid differ) must stay out.
+        # --quick: large-M oracle rows (M differs) and absolute tuning
+        # rows (records/grid differ) must stay out.
         for key in run_bench.GATE_LOWER_IS_BETTER:
-            assert "landmark" not in key and not key.startswith("tuning_")
+            assert "largeM" not in key and not key.startswith("tuning_")
 
 
 class TestMainGate:

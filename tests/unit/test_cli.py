@@ -169,41 +169,23 @@ class TestPairModeFlags:
     def test_run_defaults(self):
         args = build_parser().parse_args(["run", "table2"])
         assert args.pair_mode == "auto"
-        assert args.landmarks is None
-        assert args.landmark_method == "kmeans++"
 
-    def test_run_landmark_flags(self):
-        args = build_parser().parse_args(
-            [
-                "run",
-                "table2",
-                "--pair-mode",
-                "landmark",
-                "--landmarks",
-                "64",
-                "--landmark-method",
-                "farthest",
-            ]
-        )
-        assert args.pair_mode == "landmark"
-        assert args.landmarks == 64
-        assert args.landmark_method == "farthest"
+    def test_run_landmark_flags(self, capsys):
+        """The retired landmark pair mode is rejected, naming the
+        supported modes."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["run", "table2", "--pair-mode", "landmark"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "'landmark'" in err
+        assert "'auto', 'full', 'sampled'" in err
 
-    def test_fit_save_landmark_flags(self):
-        args = build_parser().parse_args(
-            [
-                "fit-save",
-                "compas",
-                "--out",
-                "x",
-                "--pair-mode",
-                "landmark",
-                "--landmarks",
-                "32",
-            ]
-        )
-        assert args.pair_mode == "landmark"
-        assert args.landmarks == 32
+    def test_fit_save_landmark_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["fit-save", "compas", "--out", "x", "--pair-mode", "landmark"]
+            )
+        assert "'auto', 'full', 'sampled'" in capsys.readouterr().err
 
     def test_invalid_pair_mode_rejected(self):
         with pytest.raises(SystemExit):
@@ -212,46 +194,19 @@ class TestPairModeFlags:
     def test_flags_reach_the_config(self):
         from repro.cli import _config
 
-        args = build_parser().parse_args(
-            ["run", "table2", "--pair-mode", "landmark", "--landmarks", "48"]
-        )
-        config = _config(args)
-        assert config.pair_mode == "landmark"
-        assert config.n_landmarks == 48
-
-    def test_fit_save_with_landmarks_runs(self, tmp_path, capsys):
-        code = main(
-            [
-                "fit-save",
-                "credit",
-                "--out",
-                str(tmp_path / "art"),
-                "--records",
-                "120",
-                "--n-prototypes",
-                "4",
-                "--max-iter",
-                "10",
-                "--pair-mode",
-                "landmark",
-                "--landmarks",
-                "12",
-            ]
-        )
-        assert code == 0
-        from repro.serving.artifacts import load_artifact
-
-        loaded = load_artifact(str(tmp_path / "art"))
-        assert loaded.model.landmarks_.size == 12
+        args = build_parser().parse_args(["run", "table2", "--pair-mode", "full"])
+        assert _config(args).pair_mode == "full"
 
     def test_landmark_flags_without_landmark_mode_rejected(self, capsys, tmp_path):
-        assert main(["run", "table2", "--landmarks", "8"]) == 1
-        assert "--pair-mode landmark" in capsys.readouterr().err
-        assert main(["run", "table2", "--landmark-method", "farthest"]) == 1
-        code = main(
-            ["fit-save", "credit", "--out", str(tmp_path / "a"), "--landmarks", "8"]
-        )
-        assert code == 1
+        """The anchor flags went with the landmark mode."""
+        for argv in (
+            ["run", "table2", "--landmarks", "8"],
+            ["run", "table2", "--landmark-method", "farthest"],
+            ["fit-save", "credit", "--out", str(tmp_path / "a"), "--landmarks", "8"],
+        ):
+            with pytest.raises(SystemExit):
+                main(argv)
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestPoolFlags:

@@ -72,23 +72,12 @@ class TestPairModeConfig:
     def test_defaults_preserve_auto(self):
         config = ExperimentConfig.fast()
         assert config.pair_mode == "auto"
-        assert config.n_landmarks is None
-        assert config.landmark_method == "kmeans++"
-
-    def test_landmark_config_accepted(self):
-        config = ExperimentConfig(
-            pair_mode="landmark", n_landmarks=64, landmark_method="farthest"
-        )
-        assert config.pair_mode == "landmark"
-        assert config.n_landmarks == 64
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValidationError):
             ExperimentConfig(pair_mode="bogus")
-        with pytest.raises(ValidationError):
-            ExperimentConfig(landmark_method="bogus")
-        with pytest.raises(ValidationError):
-            ExperimentConfig(n_landmarks=0)
+        with pytest.raises(ValidationError, match="'auto', 'full', 'sampled'"):
+            ExperimentConfig(pair_mode="landmark")
 
 
 class TestPoolAndPromoteConfig:

@@ -1,7 +1,8 @@
 """Golden-reference harness: the oracle vs the committed corpus.
 
-``tests/golden/cases.json`` pins loss, components, gradient, transform
-and landmark selection for every pair mode on frozen inputs (see
+``tests/golden/cases.json`` pins loss, components, gradient and
+transform for both pair modes on frozen inputs, and the anchor
+selection of :func:`repro.utils.landmarks.select_landmarks` (see
 ``tests/golden/regenerate.py``).  These tests rebuild each objective
 from the stored inputs and hold the one production oracle path to the
 stored numbers — so it is anchored to committed history, not just to
@@ -13,8 +14,7 @@ stored numbers when the oracle still had both.  Every case, whatever
 its flavour, must match the one production path.
 
 Tolerances: 1e-9 relative absorbs BLAS kernel differences across
-machines (observed drift is ~1e-13); the L = M landmark-vs-full
-criterion is held at the acceptance threshold of 1e-8.
+machines (observed drift is ~1e-13).
 """
 
 import json
@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.core.objective import IFairObjective
+from repro.utils.landmarks import select_landmarks
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "..", "golden", "cases.json"
@@ -32,14 +33,16 @@ GOLDEN_PATH = os.path.join(
 RTOL = 1e-9
 
 
-def _load_cases():
+def _load_corpus():
     with open(GOLDEN_PATH) as fh:
         doc = json.load(fh)
     assert doc["format"] == "repro-golden-cases"
-    return {case["name"]: case for case in doc["cases"]}
+    return doc
 
 
-CASES = _load_cases()
+CORPUS = _load_corpus()
+CASES = {case["name"]: case for case in CORPUS["cases"]}
+ANCHORS = {case["name"]: case for case in CORPUS["anchors"]["cases"]}
 
 
 def _build(case):
@@ -65,7 +68,7 @@ def _build(case):
 class TestGoldenCorpus:
     def test_covers_every_pair_mode_and_flavour(self):
         modes = {CASES[name]["params"].get("pair_mode", "auto") for name in CASES}
-        assert {"full", "landmark"} <= modes
+        assert "full" in modes
         assert any("max_pairs" in CASES[name]["params"] for name in CASES)
         flavours = {CASES[name]["params"]["fast_kernels"] for name in CASES}
         assert flavours == {True, False}
@@ -95,43 +98,19 @@ class TestGoldenCorpus:
         )
         assert objective.effective_pairs == expected["effective_pairs"]
 
-    @pytest.mark.parametrize(
-        "name",
-        [n for n in sorted(CASES) if "landmarks" in CASES[n]["expected"]],
-    )
+    @pytest.mark.parametrize("name", sorted(ANCHORS))
     def test_landmark_selection_is_frozen(self, name):
         """Anchor choice is part of the pinned behaviour (seeded)."""
-        case = CASES[name]
-        objective, _ = _build(case)
-        np.testing.assert_array_equal(
-            objective.landmark_indices, np.asarray(case["expected"]["landmarks"])
+        case = ANCHORS[name]
+        inputs = CORPUS["anchors"]
+        X_star = np.delete(np.asarray(inputs["X"]), inputs["protected"], axis=1)
+        idx = select_landmarks(
+            X_star,
+            case["n_landmarks"],
+            method=case["method"],
+            random_state=inputs["random_state"],
         )
-
-    @pytest.mark.parametrize(
-        "landmark_name, full_name",
-        [
-            ("landmark_LM_p2_fast", "full_p2_reference"),
-            ("landmark_LM_p3_blocked", "full_p3_reference"),
-        ],
-    )
-    def test_landmark_at_L_equals_M_matches_full_pair(
-        self, landmark_name, full_name
-    ):
-        """Acceptance criterion: at L = M the landmark loss equals the
-        full-pair reference within rtol 1e-8 — both on the committed
-        numbers and recomputed live."""
-        stored_lm = CASES[landmark_name]["expected"]
-        stored_full = CASES[full_name]["expected"]
-        assert stored_lm["l_fair"] == pytest.approx(
-            stored_full["l_fair"], rel=1e-8
-        )
-        assert stored_lm["loss"] == pytest.approx(stored_full["loss"], rel=1e-8)
-
-        objective, theta = _build(CASES[landmark_name])
-        reference, _ = _build(CASES[full_name])
-        assert objective.loss(theta) == pytest.approx(
-            reference.loss(theta), rel=1e-8
-        )
+        np.testing.assert_array_equal(np.sort(idx), np.asarray(case["landmarks"]))
 
     def test_fast_and_reference_goldens_agree(self):
         """The committed numbers themselves certify cross-path
@@ -139,7 +118,6 @@ class TestGoldenCorpus:
         for fast_name, ref_name in (
             ("full_p2_fast", "full_p2_reference"),
             ("sampled_p2_fast", "sampled_p2_reference"),
-            ("landmark_p2_fast", "landmark_p2_blocked"),
         ):
             fast, ref = CASES[fast_name]["expected"], CASES[ref_name]["expected"]
             assert fast["loss"] == pytest.approx(ref["loss"], rel=1e-10)

@@ -86,10 +86,9 @@ class TestFit:
     def test_invalid_pair_mode_rejected(self):
         with pytest.raises(ValidationError):
             IFair(pair_mode="bogus")
-        with pytest.raises(ValidationError):
-            IFair(landmark_method="bogus")
-        with pytest.raises(ValidationError):
-            IFair(n_landmarks=0)
+        # The retired landmark mode; the message names what remains.
+        with pytest.raises(ValidationError, match="'auto', 'full', 'sampled'"):
+            IFair(pair_mode="landmark")
 
 
 class TestStopReason:
@@ -138,59 +137,6 @@ class TestStopReason:
     def test_existing_constructors_keep_working(self):
         record = RestartRecord(seed=0, loss=1.0, n_iterations=1, converged=True)
         assert record.stop_reason == "unknown"
-
-
-class TestLandmarkFit:
-    def _fit_landmark(self, X, **kwargs):
-        defaults = dict(
-            n_prototypes=3,
-            n_restarts=1,
-            max_iter=40,
-            random_state=0,
-            pair_mode="landmark",
-            n_landmarks=10,
-        )
-        defaults.update(kwargs)
-        return IFair(**defaults).fit(X, [4])
-
-    def test_landmark_fit_trains_and_records_anchors(self, data):
-        model = self._fit_landmark(data)
-        assert np.isfinite(model.loss_)
-        assert model.landmarks_ is not None
-        assert model.landmarks_.size == 10
-        assert np.array_equal(model.landmarks_, np.sort(model.landmarks_))
-        assert model.transform(data).shape == data.shape
-
-    def test_landmark_fit_deterministic(self, data):
-        a = self._fit_landmark(data, random_state=5)
-        b = self._fit_landmark(data, random_state=5)
-        np.testing.assert_array_equal(a.landmarks_, b.landmarks_)
-        np.testing.assert_array_equal(a.prototypes_, b.prototypes_)
-        np.testing.assert_array_equal(a.alpha_, b.alpha_)
-
-    def test_landmark_parallel_restarts_equal_sequential(self, data):
-        sequential = self._fit_landmark(data, n_restarts=3)
-        parallel = self._fit_landmark(data, n_restarts=3, n_jobs=3)
-        np.testing.assert_array_equal(sequential.prototypes_, parallel.prototypes_)
-        assert sequential.loss_ == parallel.loss_
-
-    @pytest.mark.parametrize("p", [1.0, 3.0])
-    def test_landmark_fit_generic_p(self, data, p):
-        model = self._fit_landmark(data, p=p, max_iter=25)
-        assert np.isfinite(model.loss_)
-        assert model.memberships(data).shape == (40, 3)
-
-    def test_landmark_farthest_method(self, data):
-        model = self._fit_landmark(data, landmark_method="farthest")
-        assert model.landmarks_.size == 10
-
-    def test_non_landmark_fit_has_no_anchors(self, data):
-        model = _fit(data)
-        assert model.landmarks_ is None
-
-    def test_landmark_count_capped_at_m(self, data):
-        model = self._fit_landmark(data, n_landmarks=500, max_iter=10)
-        assert model.landmarks_.size == 40
 
 
 class TestParallelRestarts:
@@ -299,10 +245,6 @@ class TestWarmStart:
         )
         np.testing.assert_array_equal(process.theta_, reference.theta_)
         assert serial.loss_ <= cold.loss_ + 1e-9
-
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(ValidationError):
-            IFair(backend="greenlet")
 
     def test_get_params_rebuilds_equivalent_estimator(self, data):
         model = _fit(data, n_restarts=2)

@@ -167,9 +167,9 @@ class TestWorkspace:
 
 class TestFullPairFairness:
     def test_shared_kernel_is_thread_safe(self, make_data):
-        """Thread-backend restarts share one objective: concurrent
-        calls with different factors must each get the serial answer,
-        bit for bit (its buffers are thread-local)."""
+        """One kernel may serve several threads: concurrent calls with
+        different factors must each get the serial answer, bit for bit
+        (its buffers are thread-local)."""
         m = 200
         full = kernels.FullPairFairness(make_data(m, 5, seed=51))
         cases = []

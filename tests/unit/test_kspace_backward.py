@@ -10,8 +10,8 @@ design is for:
   precision, measured against a long-double evaluation of the
   reference formulas;
 * the utility loss keeps its digits as ``X_tilde -> X``;
-* ``full`` and ``sampled`` write no ``(M, N)`` array per call besides
-  the residual, and the objective holds no raw ``X**2``;
+* no pair mode writes an ``(M, N)`` array per call besides the
+  residual, and the objective holds no raw ``X**2``;
 * ``loss`` and ``loss_and_grad`` run the same forward pass.
 """
 
@@ -156,8 +156,8 @@ class TestOneForwardPass:
     @pytest.mark.parametrize("p", [2.0, 3.0])
     @pytest.mark.parametrize(
         "kwargs",
-        [{}, {"max_pairs": 40}, {"pair_mode": "landmark", "n_landmarks": 5}],
-        ids=["full", "sampled", "landmark"],
+        [{}, {"max_pairs": 40}],
+        ids=["full", "sampled"],
     )
     def test_loss_equals_loss_and_grad(self, make_data, p, kwargs):
         X = make_data(20, 5, seed=3) + 50.0

@@ -129,6 +129,9 @@ class TestPairModes:
     def test_invalid_mode_rejected(self, make_objective):
         with pytest.raises(ValidationError, match="pair_mode"):
             make_objective(pair_mode="bogus")
+        # The retired landmark mode; the message names what remains.
+        with pytest.raises(ValidationError, match="'auto', 'full', 'sampled'"):
+            make_objective(pair_mode="landmark")
 
     def test_sampled_requires_max_pairs(self, make_objective):
         with pytest.raises(ValidationError, match="max_pairs"):
@@ -137,61 +140,10 @@ class TestPairModes:
     def test_max_pairs_rejected_outside_sampled(self, make_objective):
         with pytest.raises(ValidationError, match="max_pairs"):
             make_objective(pair_mode="full", max_pairs=10)
-        with pytest.raises(ValidationError, match="max_pairs"):
-            make_objective(pair_mode="landmark", max_pairs=10, n_landmarks=4)
-
-    def test_landmark_params_rejected_outside_landmark(self, make_objective):
-        with pytest.raises(ValidationError, match="landmark"):
-            make_objective(n_landmarks=4)
-        with pytest.raises(ValidationError, match="landmark"):
-            make_objective(landmarks=[0, 1])
-
-    def test_invalid_landmark_method_rejected(self, make_objective):
-        with pytest.raises(ValidationError, match="landmark_method"):
-            make_objective(pair_mode="landmark", landmark_method="bogus")
-
-    def test_explicit_landmarks_validated(self, make_objective):
-        with pytest.raises(ValidationError, match="distinct"):
-            make_objective(pair_mode="landmark", landmarks=[1, 1, 2])
-        with pytest.raises(ValidationError, match="range"):
-            make_objective(m=12, pair_mode="landmark", landmarks=[0, 12])
-
-    def test_n_landmarks_capped_at_m(self, make_objective):
-        obj = make_objective(m=12, pair_mode="landmark", n_landmarks=999)
-        assert obj.n_landmarks == 12
-        np.testing.assert_array_equal(obj.landmark_indices, np.arange(12))
-
-    def test_default_landmark_count(self, make_objective):
-        assert make_objective(m=12, pair_mode="landmark").n_landmarks == 12
-        big = make_objective(m=200, n=3, protected=None, pair_mode="landmark")
-        assert big.n_landmarks == IFairObjective.DEFAULT_LANDMARKS
 
     def test_effective_pairs_per_mode(self, make_objective):
         assert make_objective(m=12).effective_pairs == 144
         assert make_objective(m=12, max_pairs=10).effective_pairs == 10
-        # Landmark mode is rescaled to estimate the full ordered sum.
-        lm = make_objective(m=12, pair_mode="landmark", n_landmarks=4)
-        assert lm.effective_pairs == 144
-
-    def test_non_landmark_modes_expose_no_landmarks(self, make_objective):
-        obj = make_objective()
-        assert obj.n_landmarks is None
-        assert obj.landmark_indices is None
-
-    def test_landmark_fair_loss_scaled_to_full(self, make_objective, make_theta):
-        """With anchors = every record the scaled landmark fairness
-        loss equals the full ordered-pair loss."""
-        full = make_objective(m=12)
-        lm = make_objective(m=12, pair_mode="landmark", n_landmarks=12)
-        theta = make_theta(full)
-        _, fair_full = full.loss_components(theta)
-        _, fair_lm = lm.loss_components(theta)
-        assert fair_lm == pytest.approx(fair_full, rel=1e-12)
-
-    def test_landmark_never_builds_m_squared_state(self, make_objective):
-        obj = make_objective(m=30, pair_mode="landmark", n_landmarks=6)
-        assert isinstance(obj._fair, kernels.LandmarkFairness)
-        assert obj._fair._d_star.shape == (30, 6)
 
 
 class TestMemory:
@@ -234,11 +186,7 @@ class TestDeferredPrecompute:
     def test_losses_identical_to_precomputed(self, rng):
         X = rng.normal(size=(30, 5))
         theta = rng.uniform(0.1, 0.9, size=3 * 5 + 5)
-        for kwargs in (
-            {},
-            {"max_pairs": 50},
-            {"pair_mode": "landmark", "n_landmarks": 8},
-        ):
+        for kwargs in ({}, {"max_pairs": 50}):
             eager = IFairObjective(X, [4], n_prototypes=3, random_state=0, **kwargs)
             lazy = IFairObjective(
                 X, [4], n_prototypes=3, random_state=0, precompute=False, **kwargs
@@ -253,21 +201,7 @@ class TestDeferredPrecompute:
         with pytest.raises(ValidationError):
             IFairObjective(X, [4], max_pairs=0, precompute=False)
         with pytest.raises(ValidationError):
-            IFairObjective(
-                X,
-                [4],
-                pair_mode="landmark",
-                n_landmarks=0,
-                precompute=False,
-            )
-        with pytest.raises(ValidationError):
-            IFairObjective(
-                X,
-                [4],
-                pair_mode="landmark",
-                landmarks=[1, 1],
-                precompute=False,
-            )
+            IFairObjective(X, [4], pair_mode="sampled", precompute=False)
 
     def test_shape_bookkeeping_needs_no_precompute(self, rng):
         _, obj = self._make(rng, precompute=False)
@@ -278,38 +212,15 @@ class TestDeferredPrecompute:
         assert V.shape == (3, 5) and alpha.shape == (5,)
         assert not obj._ready  # still deferred
 
-    def test_landmark_indices_triggers_build(self, rng):
-        X = rng.normal(size=(30, 5))
-        lazy = IFairObjective(
-            X,
-            [4],
-            pair_mode="landmark",
-            n_landmarks=6,
-            random_state=0,
-            precompute=False,
-        )
-        eager = IFairObjective(
-            X, [4], pair_mode="landmark", n_landmarks=6, random_state=0
-        )
-        np.testing.assert_array_equal(lazy.landmark_indices, eager.landmark_indices)
-
 
 class TestEnsureReadyFailure:
     def test_failed_build_stays_retryable(self, rng, monkeypatch):
-        import repro.core.objective as objective_module
-
         X = rng.normal(size=(30, 5))
         lazy = IFairObjective(
-            X,
-            [4],
-            n_prototypes=3,
-            pair_mode="landmark",
-            n_landmarks=6,
-            random_state=0,
-            precompute=False,
+            X, [4], n_prototypes=3, random_state=0, precompute=False
         )
         calls = {"n": 0}
-        real = objective_module.select_landmarks
+        real = kernels.FullPairFairness
 
         def flaky(*args, **kwargs):
             calls["n"] += 1
@@ -317,7 +228,7 @@ class TestEnsureReadyFailure:
                 raise MemoryError("simulated build failure")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(objective_module, "select_landmarks", flaky)
+        monkeypatch.setattr(kernels, "FullPairFairness", flaky)
         with pytest.raises(MemoryError):
             lazy.ensure_ready()
         assert not lazy._ready  # failure must not latch readiness

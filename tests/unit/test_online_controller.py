@@ -407,3 +407,21 @@ def test_online_artifacts_are_versioned(dataset, artifact_dir):
     assert first["version"] == 1 and second["version"] == 2
     assert os.path.isdir(os.path.join(artifact_dir, "online", "v0001"))
     assert os.path.isdir(os.path.join(artifact_dir, "online", "v0002"))
+
+
+def test_landmark_era_artifact_gets_fixed_anchor_count(
+    dataset, artifact_dir, tmp_path, make_landmark_era_artifact
+):
+    """The shift statistic uses min(32, rows // 4) anchors whatever
+    landmark count an old artifact recorded, and an online refit of a
+    landmark-era artifact runs on the exact full-pair objective."""
+    legacy = make_landmark_era_artifact(
+        artifact_dir, str(tmp_path / "legacy"), n_landmarks=16
+    )
+    for rows, expected in ((dataset.X[:40], 10), (np.vstack([dataset.X] * 2), 32)):
+        controller = _controller(FakeEngine(legacy), legacy, refresh_window=256)
+        _feed(controller, rows)
+        controller.step()
+        assert controller._anchors.shape[0] == expected
+    assert controller.trigger()["status"] == "refitted"
+    assert controller._model.pair_mode == "full"

@@ -35,10 +35,7 @@ IFAIR_PARAM_KEYS = [
     "tol",
     "max_pairs",
     "pair_mode",
-    "n_landmarks",
-    "landmark_method",
     "n_jobs",
-    "backend",
     "pool",
     "warm_start_theta",
     "random_state",

@@ -3,7 +3,7 @@
 The contract under test: a ``partial_fit`` refit is *exactly* a
 warm-started batch fit over the buffered window — bitwise, not merely
 close — so every offline guarantee (determinism under seed, restart
-selection, landmark behaviour) transfers to the online path unchanged.
+selection, pair modes) transfers to the online path unchanged.
 """
 
 import json
@@ -114,21 +114,6 @@ def test_chunked_increments_track_batch_loss_on_window():
     assert model.n_buffered == X.shape[0]
     batch = IFair(**PARAMS).fit(X, protected)
     assert model.loss_ <= batch.loss_ * 1.10
-
-
-def test_landmark_count_capped_at_window():
-    X, protected = _golden_matrix()
-    model = IFair(
-        n_prototypes=2,
-        max_iter=5,
-        pair_mode="landmark",
-        n_landmarks=10_000,  # far beyond any window
-        random_state=0,
-    )
-    model.partial_fit(X[:6], protected, window_size=6)
-    assert model.n_landmarks == 10_000  # knob restored after the refit
-    assert model.landmarks_ is not None
-    assert model.landmarks_.size <= 6
 
 
 def test_partial_fit_counter_metric():

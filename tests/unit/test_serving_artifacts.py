@@ -127,63 +127,50 @@ class TestValidation:
             load_artifact(saved)
 
 
-class TestLandmarkMetadata:
-    """pair_mode provenance round-trips bitwise through the artifact."""
+class TestOracleConfig:
+    """The fairness-oracle configuration round-trips through the manifest."""
 
-    @pytest.fixture(scope="class")
-    def landmark_saved(self, tiny_compas, tmp_path_factory):
+    def test_max_pairs_round_trip_keeps_sampled_pairs(self, tiny_compas, tmp_path):
+        """A default pipeline fits on sampled pairs (``auto`` with
+        ``max_pairs=2000``); its refits must build the same objective."""
         artifact = fit_serving_pipeline(
-            tiny_compas,
-            n_prototypes=4,
-            max_iter=20,
-            pair_mode="landmark",
-            n_landmarks=16,
-            landmark_method="farthest",
-            random_state=0,
+            tiny_compas, n_prototypes=4, max_iter=5, random_state=0
         )
-        path = str(tmp_path_factory.mktemp("landmark-artifact"))
-        save_artifact(path, artifact)
-        return artifact, load_artifact(path), path
+        loaded = load_artifact(save_artifact(str(tmp_path / "art"), artifact))
+        assert (loaded.model.pair_mode, loaded.model.max_pairs) == ("auto", 2000)
+        refit = IFair(**loaded.model.get_params())
+        refit._protected = loaded.protected_indices
+        X = artifact.scaler.transform(tiny_compas.X)
+        assert refit._build_objective(X).pair_mode == "sampled"
 
-    def test_landmarks_round_trip_bitwise(self, landmark_saved):
-        artifact, loaded, _ = landmark_saved
-        assert artifact.model.landmarks_.size == 16
-        np.testing.assert_array_equal(
-            loaded.model.landmarks_, artifact.model.landmarks_
-        )
-        assert loaded.model.landmarks_.dtype == np.int64
+
+class TestLandmarkMetadata:
+    """Artifacts of the retired landmark pair mode still load.
+
+    The anchor payload is checked and dropped (``transform`` never used
+    it), and the mode loads as ``full``: the exact objective the
+    landmark loss estimated.
+    """
+
+    @pytest.fixture
+    def landmark_saved(self, saved, tmp_path, make_landmark_era_artifact):
+        legacy = make_landmark_era_artifact(saved, str(tmp_path / "legacy"))
+        return load_artifact(saved), load_artifact(legacy), legacy
 
     def test_manifest_records_oracle_config(self, landmark_saved):
-        import json
-        import os
-
-        _, loaded, path = landmark_saved
-        assert loaded.model.pair_mode == "landmark"
-        assert loaded.model.n_landmarks == 16
-        assert loaded.model.landmark_method == "farthest"
-        assert loaded.metadata["pair_mode"] == "landmark"
-        with open(os.path.join(path, "manifest.json")) as fh:
-            manifest = json.load(fh)
-        assert manifest["model"]["pair_mode"] == "landmark"
-        assert manifest["model"]["n_landmarks"] == 16
-        assert manifest["model"]["landmark_method"] == "farthest"
+        plain, legacy, _ = landmark_saved
+        assert legacy.model.pair_mode == "full"
+        assert legacy.model.max_pairs is None
+        assert (plain.model.pair_mode, plain.model.max_pairs) == ("auto", 500)
 
     def test_transform_bitwise_equal_after_reload(self, landmark_saved, tiny_compas):
-        artifact, loaded, _ = landmark_saved
-        X = artifact.scaler.transform(tiny_compas.X[:32])
-        assert np.array_equal(
-            loaded.model.transform(X), artifact.model.transform(X)
-        )
+        plain, legacy, _ = landmark_saved
+        X = plain.scaler.transform(tiny_compas.X[:32])
+        assert np.array_equal(legacy.model.transform(X), plain.model.transform(X))
 
-    def test_landmark_count_mismatch_rejected(self, landmark_saved, tmp_path):
-        import json
-        import os
-        import shutil
-
+    def test_landmark_count_mismatch_rejected(self, landmark_saved):
         _, _, path = landmark_saved
-        broken = str(tmp_path / "broken")
-        shutil.copytree(path, broken)
-        manifest_path = os.path.join(broken, "manifest.json")
+        manifest_path = os.path.join(path, MANIFEST_NAME)
         with open(manifest_path) as fh:
             manifest = json.load(fh)
         manifest["model"]["n_landmarks"] = 3
@@ -191,9 +178,16 @@ class TestLandmarkMetadata:
         with open(manifest_path, "w") as fh:
             json.dump(manifest, fh)
         with pytest.raises(ArtifactError, match="landmark count"):
-            load_artifact(broken)
+            load_artifact(path)
 
-    def test_non_landmark_artifacts_stay_clean(self, saved):
-        loaded = load_artifact(saved)
-        assert loaded.model.landmarks_ is None
-        assert loaded.model.pair_mode in ("auto", "sampled")
+    def test_non_landmark_artifacts_stay_clean(self, landmark_saved, tmp_path):
+        """No artifact writes anchors, not even one re-saved from a
+        landmark-era load."""
+        _, legacy, _ = landmark_saved
+        path = save_artifact(str(tmp_path / "resaved"), legacy)
+        with open(os.path.join(path, MANIFEST_NAME)) as fh:
+            model = json.load(fh)["model"]
+        assert "n_landmarks" not in model and "landmark_method" not in model
+        assert model["pair_mode"] == "full"
+        with np.load(os.path.join(path, ARRAYS_NAME)) as npz:
+            assert "model.landmarks" not in npz.files

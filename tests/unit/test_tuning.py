@@ -313,15 +313,6 @@ class TestParallelGridSearch:
 
 
 class TestLandmarkGrid:
-    def test_landmarks_cross_the_grid(self):
-        from repro.core.tuning import LANDMARK_GRID, default_hyper_grid
-
-        base = default_hyper_grid((0.1, 1.0), (4,))
-        crossed = default_hyper_grid((0.1, 1.0), (4,), landmarks=LANDMARK_GRID)
-        assert len(crossed) == len(base) * len(LANDMARK_GRID)
-        assert all(point["pair_mode"] == "landmark" for point in crossed)
-        assert {point["n_landmarks"] for point in crossed} == set(LANDMARK_GRID)
-
     def test_without_landmarks_grid_is_unchanged(self):
         from repro.core.tuning import default_hyper_grid
 
