@@ -95,7 +95,9 @@ class LFRObjective:
         self.mu_fair = float(mu_fair)
         self._mask1 = self.protected == 1
         self._mask0 = ~self._mask1
-        self._X_sq = self.X * self.X  # reused by the GEMM kernels
+        # The GEMM kernels take column-major records and their square.
+        self._Xt = np.ascontiguousarray(self.X.T)
+        self._Xt_sq = self._Xt * self._Xt
         self._ws = kernels.Workspace()
         self._fair: Optional[kernels.LandmarkFairness] = None
         if self.mu_fair > 0.0:
@@ -134,14 +136,16 @@ class LFRObjective:
         return V, alpha, w
 
     def _memberships(self, V, alpha) -> np.ndarray:
+        """(M, K) memberships: the transposed view of the kernels' (K, M)
+        result, which aliases the distance buffer."""
         d = kernels.weighted_sq_dists_gemm(
-            self.X,
+            self._Xt,
             V,
             alpha,
-            x_sq=self._X_sq,
-            out=self._ws.take("d", (self.X.shape[0], V.shape[0])),
+            x_sq=self._Xt_sq,
+            out=self._ws.take("d", (V.shape[0], self.X.shape[0])),
         )
-        return kernels.softmax_neg_inplace(d)  # aliases d's buffer
+        return kernels.softmax_neg_inplace(d).T
 
     def _forward_parts(self, theta):
         """One membership evaluation feeding every loss component."""
@@ -218,7 +222,7 @@ class LFRObjective:
         # --- through the softmax and the distances (GEMM form) ---
         P = U * (C - np.sum(U * C, axis=1, keepdims=True))  # dL/d(-d) -> dL/ds
         grad_alpha, grad_V_dist = kernels.sq_dist_backward(
-            P, self.X, V, alpha, x_sq=self._X_sq
+            P.T, self._Xt, V, alpha, x_sq=self._Xt_sq
         )
         grad_V = U.T @ G_x
         grad_V += grad_V_dist

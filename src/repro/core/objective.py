@@ -62,6 +62,24 @@ So a call makes three products against :math:`X_c` (:math:`U^T X_c`,
 the residual.  All of this is verified against central finite
 differences by the property tests in ``tests/property/test_gradients.py``.
 
+Layout
+------
+The formulas read ``U``, ``C`` and ``P`` as ``M x K``, as the paper
+does.  The oracle stores them K-major: the centred records are held
+once, column-major, as the ``(N, M)`` C-contiguous array
+:math:`X_c^T` (with its square at ``p = 2``), in place of a row-major
+copy, and the distances, ``U``, ``C``/``P`` and the fairness kernels'
+``(M, K)``-shaped terms are ``(K, M)`` C-contiguous workspace buffers.
+So every record-side product is a ``(K, .) x (., M)`` GEMM and every
+sum over ``K`` adds ``K`` contiguous rows (the kernels module
+docstring, "Layout", has the measurements).  The residual ``R`` stays
+the one ``(M, N)`` buffer, filled through the transposed view of
+``U``.  The softmax zeroes memberships below the smallest normal
+float64, which keeps the products off the CPU's subnormal path without
+moving any sum (:func:`repro.utils.kernels.softmax_neg_inplace`).
+:meth:`IFairObjective.memberships` and :meth:`~IFairObjective.transform`
+still return ``(M, K)`` and ``(M, N)`` values.
+
 One oracle path
 ---------------
 Only :math:`d_{ik}` depends on ``p``; :math:`L_{fair}` is
@@ -83,7 +101,7 @@ kernels of :mod:`repro.utils.kernels`:
 
 :meth:`IFairObjective.loss_components` runs the same forward and the
 same kernel call, so ``loss(theta)`` equals ``loss_and_grad(theta)[0]``.
-The ``(M, K)`` intermediates and the residual live in thread-local
+The ``(K, M)`` intermediates and the residual live in thread-local
 workspaces reused across L-BFGS evaluations.  The einsum formulas
 above, with a dense ``(M, M)`` target ``D*``, survive only in
 ``tests/`` as the test oracle the property tests hold this path to at
@@ -217,10 +235,11 @@ class IFairObjective:
         self._ws = kernels.Workspace()
         self._precompute_args = (max_pairs, random_state)
 
-        # Centred records X_c, their column means and (p = 2 only) X_c**2.
-        self._Xc: Optional[np.ndarray] = None
+        # Centred records X_c, held column-major as X_c^T (N, M), their
+        # column means and (p = 2 only) the square of X_c^T.
+        self._Xt: Optional[np.ndarray] = None
         self._x_mean: Optional[np.ndarray] = None
-        self._Xc_sq: Optional[np.ndarray] = None
+        self._Xt_sq: Optional[np.ndarray] = None
         # The pair mode's fairness kernel (FullPairFairness or
         # PairScatter), called as ``loss_row_grad``.
         self._fair = None
@@ -254,13 +273,15 @@ class IFairObjective:
         m = self.X.shape[0]
         max_pairs, random_state = self._precompute_args
         # X is fixed for the objective's lifetime, so it is centred once,
-        # and the elementwise square the p = 2 GEMM forward and
-        # grad_alpha use is taken of the centred records.  Workspace
-        # buffers are thread-local, so one objective can serve several
-        # threads.
+        # column-major (N, M), and the elementwise square the p = 2 GEMM
+        # forward and grad_alpha use is taken of the centred records.
+        # Workspace buffers are thread-local, so one objective can serve
+        # several threads.
         self._x_mean = self.X.mean(axis=0)
-        self._Xc = self.X - self._x_mean
-        self._Xc_sq = self._Xc * self._Xc if self.p == 2.0 else None
+        self._Xt = np.subtract(
+            self.X.T, self._x_mean[:, None], out=np.empty((self.X.shape[1], m))
+        )
+        self._Xt_sq = self._Xt * self._Xt if self.p == 2.0 else None
         X_star = self.X[:, self.nonprotected]
         if self.pair_mode == "full":
             # Centred X* and its Gram norm; no (M, M) target matrix.
@@ -329,7 +350,7 @@ class IFairObjective:
     # ------------------------------------------------------------------
 
     def _distances(self, V: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-        """d[i, k] = sum_n alpha_n |x_in - v_kn|^p, shape (M, K).
+        """d[k, i] = sum_n alpha_n |x_in - v_kn|^p, shape (K, M).
 
         Evaluated on the centred records and prototypes (distances are
         translation-invariant).  The returned array is a reusable
@@ -339,17 +360,17 @@ class IFairObjective:
         self.ensure_ready()
         m, k = self.X.shape[0], V.shape[0]
         return kernels.minkowski_dists(
-            self._Xc,
+            self._Xt,
             V - self._x_mean,
             alpha,
             self.p,
-            x_sq=self._Xc_sq,
-            out=self._ws.take("d", (m, k)),
+            x_sq=self._Xt_sq,
+            out=self._ws.take("d", (k, m)),
         )
 
     def memberships(self, V: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-        """Probability vectors U = softmax(-d) of Definition 8."""
-        return softmax(-self._distances(V, alpha), axis=1)
+        """Probability vectors U = softmax(-d) of Definition 8, shape (M, K)."""
+        return softmax(-self._distances(V, alpha), axis=0).T
 
     def transform(self, V: np.ndarray, alpha: np.ndarray) -> np.ndarray:
         """Transformed representation X-tilde = U V (Definition 2)."""
@@ -358,21 +379,22 @@ class IFairObjective:
     def _forward(self, V: np.ndarray, alpha: np.ndarray):
         """The forward pass both losses and the gradient share.
 
-        Returns ``(U, V', V_c, A, T, l_util, fair)``, where ``fair`` is
-        the fairness kernel's ``(loss, dL/dV, dL/dU part, Q)`` (module
-        docstring).  ``U`` aliases the distance buffer.
+        Returns ``(U, V', V_c, A, T, l_util, fair)``, where ``U`` is the
+        ``(K, M)`` memberships (it aliases the distance buffer) and
+        ``fair`` the fairness kernel's ``(loss, dL/dV, dL/dU part, Q)``
+        (module docstring).
         """
         self.ensure_ready()
         m, n = self.X.shape
         Vp = V - self._x_mean
         U = kernels.softmax_neg_inplace(self._distances(V, alpha))
-        R = np.matmul(U, V, out=self._ws.take("resid", (m, n)))
+        R = np.matmul(U.T, V, out=self._ws.take("resid", (m, n)))
         R -= self.X
         r = R.ravel()
         l_util = float(r @ r)
         Vc = Vp - Vp.mean(axis=0)
         A = Vc @ Vc.T
-        T = U.T @ self._Xc
+        T = U @ self._Xt.T
         fair = self._fair.loss_row_grad(U, Vc, A, T[:, self.nonprotected])
         return U, Vp, Vc, A, T, l_util, fair
 
@@ -395,7 +417,7 @@ class IFairObjective:
         """Loss and analytic gradient w.r.t. the packed parameters.
 
         One path for every ``p`` and pair mode, contracted in K-space
-        (see module docstring).  The (M, K)-sized intermediates and the
+        (see module docstring).  The (K, M)-sized intermediates and the
         residual live in reusable thread-local workspace buffers; the
         returned gradient is a fresh array (L-BFGS keeps a history of
         it).
@@ -408,24 +430,24 @@ class IFairObjective:
         lam2, mu = 2.0 * self.lambda_util, self.mu_fair
         loss = self.lambda_util * l_util + mu * l_fair
 
-        # Through X_tilde = U V: grad_V = U^T G and C = G V^T for
+        # Through X_tilde = U^T V: grad_V = U G and C = V G^T for
         # G = 2 lambda R + mu dL_fair/dX_tilde, in K-space.
-        grad_V = (U.T @ U) @ Vp
+        grad_V = (U @ U.T) @ Vp
         grad_V -= T
         grad_V *= lam2
         grad_V += mu * grad_V_fair
         Q = lam2 * Vc
         if Q_fair is not None:
             Q[:, self.nonprotected] += mu * Q_fair
-        C = np.matmul(U, lam2 * (Vp @ Vc.T), out=ws.take("c", (m, k)))
+        C = np.matmul(lam2 * (Vc @ Vp.T), U, out=ws.take("c", (k, m)))
         C_fair *= mu
         C += C_fair
-        C -= np.matmul(self._Xc, Q.T, out=ws.take("xq", (m, k)))
-        # Softmax Jacobian: P = U * (C - rowsum(U * C)), in C's buffer.
-        C -= np.einsum("mk,mk->m", U, C)[:, None]
+        C -= np.matmul(Q, self._Xt, out=ws.take("xq", (k, m)))
+        # Softmax Jacobian: P = U * (C - colsum(U * C)), in C's buffer.
+        C -= np.einsum("km,km->m", U, C)
         C *= U
         grad_alpha, grad_V_dist = kernels.minkowski_backward(
-            C, self._Xc, Vp, alpha, self.p, x_sq=self._Xc_sq
+            C, self._Xt, Vp, alpha, self.p, x_sq=self._Xt_sq
         )
         grad_V += grad_V_dist
         return loss, np.concatenate([grad_V.ravel(), grad_alpha])

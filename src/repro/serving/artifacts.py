@@ -250,6 +250,21 @@ def _read_arrays(path: str, manifest: Dict) -> Dict[str, np.ndarray]:
         return {name: npz[name] for name in npz.files}
 
 
+def _integer(value) -> int:
+    """``value`` as an int; a bool or a non-integral number is malformed."""
+    if isinstance(value, bool) or int(value) != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _model_value(spec: Dict, key: str, convert):
+    """``convert(spec[key])``; a failed conversion raises ArtifactError naming ``key``."""
+    try:
+        return convert(spec[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ArtifactError(f"model manifest {key!r} is malformed: {exc}") from None
+
+
 def _load_model(manifest: Dict, arrays: Dict[str, np.ndarray]) -> IFair:
     spec = manifest["model"]
     for key in ("n_prototypes", "lambda_util", "mu_fair", "p", "init", "shape"):
@@ -271,7 +286,7 @@ def _load_model(manifest: Dict, arrays: Dict[str, np.ndarray]) -> IFair:
     # never used: an old artifact's payload is still checked, then the
     # anchors are dropped.
     if "model.landmarks" in arrays and "n_landmarks" in spec:
-        if int(spec["n_landmarks"]) != arrays["model.landmarks"].size:
+        if _model_value(spec, "n_landmarks", _integer) != arrays["model.landmarks"].size:
             raise ArtifactError(
                 "landmark count disagrees between manifest and array payload"
             )
@@ -282,19 +297,27 @@ def _load_model(manifest: Dict, arrays: Dict[str, np.ndarray]) -> IFair:
         # The exact objective the landmark loss (scaled by M / L)
         # estimated, so an online refit of an old artifact still runs.
         pair_mode = "full"
-    max_pairs = spec.get("max_pairs")
+    max_pairs = None
+    if spec.get("max_pairs") is not None:
+        # Checked here: a bad budget would otherwise load and fail at
+        # every online refit.
+        max_pairs = _model_value(spec, "max_pairs", _integer)
+        if max_pairs < 1:
+            raise ArtifactError(
+                f"model manifest 'max_pairs' must be null or >= 1, got {max_pairs}"
+            )
     model = IFair(
-        n_prototypes=int(spec["n_prototypes"]),
-        lambda_util=float(spec["lambda_util"]),
-        mu_fair=float(spec["mu_fair"]),
-        p=float(spec["p"]),
+        n_prototypes=_model_value(spec, "n_prototypes", _integer),
+        lambda_util=_model_value(spec, "lambda_util", float),
+        mu_fair=_model_value(spec, "mu_fair", float),
+        p=_model_value(spec, "p", float),
         init=str(spec["init"]),
         pair_mode=pair_mode,
-        max_pairs=None if max_pairs is None else int(max_pairs),
+        max_pairs=max_pairs,
     )
     model.prototypes_ = prototypes
     model.alpha_ = alpha
-    model.loss_ = float(spec.get("loss", np.inf))
+    model.loss_ = _model_value(spec, "loss", float) if "loss" in spec else np.inf
     return model
 
 

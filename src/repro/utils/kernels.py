@@ -2,7 +2,7 @@ r"""Kernels of the iFair oracle: one distance path, three fairness terms.
 
 The iFair objective (:mod:`repro.core.objective`) spends almost all of
 its time on the record-prototype distance matrix
-``d[i, k] = sum_n alpha_n |x_in - v_kn|^p`` and its gradients.  Only
+``d[k, i] = sum_n alpha_n |x_in - v_kn|^p`` and its gradients.  Only
 this distance depends on the Minkowski exponent ``p``; the fairness
 term is squared-Euclidean on :math:`\tilde X` for every ``p``.  So the
 module has one distance forward and one distance backward:
@@ -16,70 +16,113 @@ module has one distance forward and one distance backward:
 No ``(M, K, N)`` tensor exists on either side: the GEMM forms build
 none, and the blocked forms cap theirs at ``(B, K, N)``.
 
+Layout
+------
+The oracle multiplies ``M`` records against ``K << M`` prototypes, so
+its kernels keep every record-indexed quantity **K-major over
+column-major records**: the records arrive as ``Xt`` of shape
+``(N, M)`` (C-contiguous, one row per attribute), and the distances,
+the memberships ``U``, the softmax-Jacobian product ``P`` and every
+``(K, M)`` intermediate of the fairness kernels are ``(K, M)``
+C-contiguous arrays.  Every record-side product is then a
+``(K, .) x (., M)`` GEMM, and every reduction over ``K`` sums ``K``
+contiguous rows.  At the ``fit`` shape (M = 500, N = 101, K = 10, one
+BLAS thread, 2-vCPU Xeon VM) the distance GEMM took 21 us this way
+against 51 us as the row-major ``(M, N) x (N, K)`` product, and the
+softmax normaliser's sum over ``K`` 4 us against 15 us.  Only the
+sampled term's pair quantities stay pair-major, ``(P, K)``: scipy's
+sparse kernels read their dense operand that way (:class:`PairScatter`).
+Callers that hold row-major ``(M, N)`` records pass ``X.T`` and read
+results through ``.T`` (LFR does, and
+:func:`repro.utils.mathkit.weighted_minkowski_to_prototypes` passes a
+transposed output view so its rows land row-major).
+
 GEMM expansion (``p = 2``)
 --------------------------
 
 .. math::
 
-    d_{ik} = \sum_n \alpha_n (x_{in} - v_{kn})^2
-           = (X^{\circ 2} \alpha)_i
-             - 2\,\bigl(X (\alpha \circ V)^T\bigr)_{ik}
+    d_{ki} = \sum_n \alpha_n (x_{in} - v_{kn})^2
+           = (\alpha^T X_t^{\circ 2})_i
+             - 2\,\bigl((\alpha \circ V) X_t\bigr)_{ki}
              + (V^{\circ 2} \alpha)_k
 
-where :math:`X^{\circ 2}` is the elementwise square: one ``(M, K)``
+where :math:`X_t^{\circ 2}` is the elementwise square: one ``(K, M)``
 GEMM plus two matrix-vector products.  With ``P = dL/d(-d)`` (the
-softmax-Jacobian product, shape ``(M, K)``) the backward pass is
+softmax-Jacobian product, shape ``(K, M)``) the backward pass is
 
 .. math::
 
     \frac{\partial L}{\partial v_{kn}}\Big|_{dist}
-        &= 2 \alpha_n \bigl[(P^T X)_{kn} - \mathrm{colsum}(P)_k v_{kn}\bigr] \\
+        &= 2 \alpha_n \bigl[(P X_t^T)_{kn} - \mathrm{rowsum}(P)_k v_{kn}\bigr] \\
     \frac{\partial L}{\partial \alpha_n}
-        &= -\bigl[\mathrm{rowsum}(P)^T X^{\circ 2}
-                  - 2 \textstyle\sum_k (P^T X \circ V)_{kn}
-                  + \mathrm{colsum}(P)^T V^{\circ 2}\bigr]_n
+        &= -\bigl[X_t^{\circ 2}\,\mathrm{colsum}(P)
+                  - 2 \textstyle\sum_k (P X_t^T \circ V)_{kn}
+                  + \mathrm{rowsum}(P)^T V^{\circ 2}\bigr]_n
 
-so it shares a single ``(K, N)`` GEMM (:math:`P^T X`).  Inference
+so it shares a single ``(K, N)`` GEMM (:math:`P X_t^T`).  Inference
 paths with an exact-chunking guarantee (``IFair.memberships(
 batch_size=...)``, serving) use :func:`weighted_sq_dists_rowstable`
-instead: the same expansion through ``np.einsum`` loops whose per-row
-results do not depend on the batch height.
+instead: the same expansion through ``np.einsum`` loops on row-major
+``(M, N)`` records, whose per-row results do not depend on the batch
+height.
+
+Memberships and the flush
+-------------------------
+:func:`softmax_neg_inplace` turns the ``(K, M)`` distances into
+memberships, ``softmax(-d)`` over ``K`` for each record, and then sets
+every membership below the smallest normal float64
+(``np.finfo(float).tiny``, 2.2e-308) to exactly 0.  Such entries are
+subnormal, and every product that touches one runs on the CPU's slow
+subnormal path.  They are common: replaying one perfbench ``fit``
+(seed 43, 374 oracle calls), 241 calls held some, 0.12% of all
+entries, and that replay ran ~15% slower in this layout without the
+flush; in a 400-record sampled-pair fit 31 of 37 calls held some,
+1.2% of all entries.  Zeroing them is safe.  Before normalising, each record's column
+holds exp(0) = 1, so its largest membership is at least ``1/K``; each
+zeroed entry moves the column's sum by less than 2.2e-308, far below
+an ulp of that sum.  The fairness kernels' precondition, that each
+record's memberships sum to 1, therefore holds exactly as well as
+before.
 
 Fairness terms
 --------------
 Each pair mode of the objective has one fairness kernel, and both
-share one call on the factors of :math:`\tilde X = U V`, in the
-objective's centred coordinates: ``loss_row_grad(U, Vc, A, W)`` with
-the memberships ``U`` (rows summing to 1), the row-centred prototypes
-``Vc``, their Gram ``A = Vc Vc^T`` and ``W = U^T X*_c`` (``K x N*``),
-returning ``(loss, grad_V, dU, Q)``:
+share one call on the factors of :math:`\tilde X = U^T V` (``U`` is
+``(K, M)``), in the objective's centred coordinates:
+``loss_row_grad(U, Vc, A, W)`` with the memberships ``U`` (columns
+summing to 1), the row-centred prototypes ``Vc``, their Gram
+``A = Vc Vc^T`` and ``W = U X*_c`` (``K x N*``), returning
+``(loss, grad_V, dU, Q)``:
 
 * ``grad_V`` — :math:`\partial L_{fair} / \partial V` (``K x N``);
 * ``dU`` — :math:`\partial L_{fair} / \partial U` up to a constant per
-  row, which the softmax Jacobian cancels (``M x K``, thread-local);
+  record, which the softmax Jacobian cancels (``K x M``, thread-local);
 * ``Q`` — ``None``, or a ``K x N*`` coefficient whose term
-  :math:`-X^*_c Q^T` completes ``dU``; the objective folds it into its
+  :math:`-Q X^{*T}_c` completes ``dU``; the objective folds it into its
   one product against the centred records.
 
 * :class:`FullPairFairness` (``full``) — the full ordered-pair loss
   :math:`\sum_{ij} (\tilde D_{ij} - D^*_{ij})^2` in **centred K-space
   form**: :math:`\tilde X` has rank at most ``K``, so expanding
   :math:`\tilde D_{ij} = a_i + a_j - 2 \langle \tilde x_i, \tilde x_j
-  \rangle` on the column-centred memberships and row-centred
-  prototypes collapses every pair sum into ``K x K`` contractions,
+  \rangle` on the centred memberships and row-centred prototypes
+  collapses every pair sum into ``K x K`` contractions,
   ``O(M * K^2)`` per call and no ``(M, M)`` or ``(M, N)`` matrix.
   ``loss(X_tilde, U, V)`` and ``add_grad(X_tilde, U, V, G, mu)`` (the
-  gradient in :math:`\tilde X`-space) work from the raw factors.
+  gradient in :math:`\tilde X`-space) take the factors of
+  :math:`\tilde X = U V` as a caller outside the oracle holds them,
+  ``U`` of shape ``(M, K)``, and transpose it at the boundary.
 * :class:`PairScatter` (``sampled``) — the fixed pair subsample's
   gather/scatter as one precomputed sparse incidence operator, applied
-  to ``U``: the pair differences of the memberships carry what the
-  pair differences of :math:`\tilde X` do, at ``O(max_pairs * K^2)``
-  per call instead of ``O(max_pairs * N)``.
+  to ``U``: the pair differences of the memberships carry what the pair
+  differences of :math:`\tilde X` do, at ``O(max_pairs * K^2)`` per
+  call instead of ``O(max_pairs * N)``.
 
 :class:`LandmarkFairness` is not an iFair pair mode: it is the kernel
 of LFR's optional individual-fairness regulariser
 (:mod:`repro.baselines.lfr`), the pair loss against ``L`` anchor
-records evaluated in row blocks on a given transform
+records evaluated in row blocks on a given row-major transform
 (``loss(X_tilde)``, ``loss_and_grad_x(X_tilde)``): ``O(M * L * N)``
 time and ``O(B * L)`` transient memory.  It computes each error entry
 directly, so it keeps full relative accuracy when a fit drives
@@ -147,37 +190,40 @@ class Workspace:
 
 
 def weighted_sq_dists_gemm(
-    X: np.ndarray,
+    Xt: np.ndarray,
     V: np.ndarray,
     alpha: np.ndarray,
     *,
     x_sq: Optional[np.ndarray] = None,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """``d[i, k] = sum_n alpha_n (X[i, n] - V[k, n])^2`` via GEMM.
+    """``d[k, i] = sum_n alpha_n (Xt[n, i] - V[k, n])^2`` via GEMM, shape ``(K, M)``.
 
     Parameters
     ----------
-    X, V, alpha:
-        Records ``(M, N)``, prototypes ``(K, N)``, weights ``(N,)``.
+    Xt, V, alpha:
+        Column-major records ``(N, M)``, prototypes ``(K, N)``, weights
+        ``(N,)``.
     x_sq:
-        Optional precomputed ``X * X`` — pass it when ``X`` is fixed
-        across many calls (training) to skip the elementwise square.
+        Optional precomputed ``Xt * Xt`` — pass it when the records are
+        fixed across many calls (training) to skip the elementwise
+        square.
     out:
-        Optional ``(M, K)`` output buffer (e.g. from a workspace).
+        Optional ``(K, M)`` output buffer (e.g. from a workspace).
 
     The expansion can produce tiny negative values through floating-
     point cancellation; the result is clipped at zero to stay in the
     distance domain.
     """
     if x_sq is None:
-        x_sq = X * X
+        x_sq = Xt * Xt
     if out is None:
-        out = np.empty((X.shape[0], V.shape[0]), dtype=np.float64)
-    np.matmul(X, (alpha * V).T, out=out)
-    out *= -2.0
-    out += (x_sq @ alpha)[:, None]
-    out += ((V * V) @ alpha)[None, :]
+        out = np.empty((V.shape[0], Xt.shape[1]), dtype=np.float64)
+    # Scaling by -2 is exact, so folding it into the (K, N) factor gives
+    # the bits of scaling the (K, M) product, one pass cheaper.
+    np.matmul((-2.0 * alpha) * V, Xt, out=out)
+    out += alpha @ x_sq
+    out += ((V * V) @ alpha)[:, None]
     np.maximum(out, 0.0, out=out)
     return out
 
@@ -230,32 +276,36 @@ def weighted_sq_dists_rowstable(
     return out
 
 
+_TINY = np.finfo(np.float64).tiny
+
+
 def softmax_neg_inplace(d: np.ndarray) -> np.ndarray:
-    """``softmax(-d, axis=1)`` computed in-place in ``d``'s buffer.
+    """``softmax(-d)`` over the ``K`` rows of ``(K, M)`` distances, in ``d``'s buffer.
 
     Performs the exact operation sequence of
-    :func:`repro.utils.mathkit.softmax` (shift by the row maximum,
-    exponentiate, normalise) so results match it bitwise, without
-    allocating beyond one ``(M,)`` reduction per step.
+    :func:`repro.utils.mathkit.softmax` along ``axis=0`` (shift by the
+    column maximum, exponentiate, normalise), then sets every entry
+    below ``np.finfo(float).tiny`` to exactly 0: the result equals
+    ``mathkit.softmax(-d, axis=0)`` with its subnormal entries zeroed,
+    bit for bit (module docstring, "Memberships and the flush").
 
-    The row maximum of ``-d`` is taken as the negated column-by-column
-    minimum of ``d``: min and max are exact, and ``min - d`` rounds as
-    ``-d - max(-d)`` does, so the shift is bit for bit the same, while
-    ``K`` strided passes cost a fraction of numpy's short-row
-    ``max(axis=1)``.
+    The column maximum of ``-d`` is taken as the negated minimum of
+    ``d``: min and max are exact, and ``min - d`` rounds as
+    ``-d - max(-d)`` does.  Both reductions run over ``K`` contiguous
+    rows, and the normaliser is numpy's ``sum(axis=0)``, the one
+    ``mathkit.softmax`` uses, so the bits agree.
     """
-    low = d[:, 0].copy()
-    for col in range(1, d.shape[1]):
-        np.minimum(low, d[:, col], out=low)
-    np.subtract(low[:, None], d, out=d)
+    low = d.min(axis=0)
+    np.subtract(low, d, out=d)
     np.exp(d, out=d)
-    d /= np.sum(d, axis=1, keepdims=True)
+    d /= np.sum(d, axis=0)
+    np.copyto(d, 0.0, where=d < _TINY)
     return d
 
 
 def sq_dist_backward(
     P: np.ndarray,
-    X: np.ndarray,
+    Xt: np.ndarray,
     V: np.ndarray,
     alpha: np.ndarray,
     *,
@@ -263,26 +313,27 @@ def sq_dist_backward(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Gradients through ``d`` for ``p = 2``, in GEMM form.
 
-    Given ``P = dL/d(-d)`` of shape ``(M, K)``, returns
+    Given ``P = dL/d(-d)`` of shape ``(K, M)`` and column-major records
+    ``Xt`` of shape ``(N, M)`` (``x_sq`` is their optional precomputed
+    square), returns
 
-    * ``grad_alpha_dist[n] = -sum_{mk} P[m, k] (X[m, n] - V[k, n])^2``
-    * ``grad_V_dist[k, n] = 2 alpha[n] sum_m P[m, k] (X[m, n] - V[k, n])``
+    * ``grad_alpha_dist[n] = -sum_{ki} P[k, i] (Xt[n, i] - V[k, n])^2``
+    * ``grad_V_dist[k, n] = 2 alpha[n] sum_i P[k, i] (Xt[n, i] - V[k, n])``
 
-    i.e. exactly the ``-einsum("mk,mkn->n", P, powed)`` and
-    ``p * alpha * einsum("mk,mkn->kn", P, deriv)`` terms of the
+    i.e. exactly the ``-einsum("mk,mkn->n", P.T, powed)`` and
+    ``p * alpha * einsum("mk,mkn->kn", P.T, deriv)`` terms of the
     reference implementation, without the ``(M, K, N)`` tensors.  The
-    only heavy operation is the shared ``(K, N)`` product ``P.T @ X``;
-    the row and column sums of ``P`` are matrix-vector products, several
-    times faster than numpy's reductions along a short axis.
+    only heavy operation is the shared ``(K, N)`` product ``P @ Xt.T``;
+    ``P``'s sum over prototypes adds ``K`` contiguous rows and its sum
+    over records is a matrix-vector product.
     """
     if x_sq is None:
-        x_sq = X * X
-    m, k = P.shape
-    PtX = P.T @ X  # (K, N) — shared by both gradients
-    p_row = P @ np.ones(k)  # (M,)
-    p_col = np.ones(m) @ P  # (K,)
-    grad_alpha = -(p_row @ x_sq - 2.0 * np.einsum("kn,kn->n", PtX, V) + p_col @ (V * V))
-    grad_V = PtX - p_col[:, None] * V
+        x_sq = Xt * Xt
+    PXt = P @ Xt.T  # (K, N) — shared by both gradients
+    p_rec = P.sum(axis=0)  # (M,)
+    p_proto = P @ np.ones(P.shape[1])  # (K,)
+    grad_alpha = -(x_sq @ p_rec - 2.0 * np.einsum("kn,kn->n", PXt, V) + p_proto @ (V * V))
+    grad_V = PXt - p_proto[:, None] * V
     grad_V *= 2.0 * alpha
     return grad_alpha, grad_V
 
@@ -290,38 +341,46 @@ def sq_dist_backward(
 class PairScatter:
     r"""Sampled-pair fairness term in K-space, through a sparse incidence operator.
 
-    For fixed pair index vectors ``ii``/``jj`` into the rows of the
-    non-protected matrix ``X_star`` (they never change over an
-    objective's lifetime) the signed incidence matrix
-    ``A_inc[p, ii[p]] = +1, A_inc[p, jj[p]] = -1`` turns both hot
-    sampled-pair operations into sparse matrix products:
+    For fixed pair index vectors ``ii``/``jj`` into the records (they
+    never change over an objective's lifetime) the signed incidence
+    matrix ``A_inc[p, ii[p]] = +1, A_inc[p, jj[p]] = -1`` turns both hot
+    sampled-pair operations into sparse matrix products on ``(K, M)``
+    arrays, one column per record:
 
-    * ``diffs(Y) = A_inc @ Y`` gives ``Y[ii] - Y[jj]`` (bitwise equal to
-      the fancy-indexed subtraction);
-    * ``scatter_add(G, C)`` performs ``G[ii] += C; G[jj] -= C`` as
-      ``G += A_inc.T @ C``.
+    * ``diffs(Y) = A_inc @ Y^T`` gives ``(Y[:, ii] - Y[:, jj])^T``,
+      pair-major ``(P, K)`` (bitwise equal to the fancy-indexed
+      subtraction);
+    * ``scatter_add(G, C)`` performs ``G[:, ii] += C^T; G[:, jj] -= C^T``
+      as ``G += (A_inc^T @ C)^T``, for pair-major ``(P, K)`` ``C``.
 
     Both run through scipy's CSR kernels — several times faster than
     the generic ``np.add.at`` ufunc machinery (or a per-column
-    ``np.bincount`` scatter) for the pair counts the fairness
-    subsample uses.
+    ``np.bincount`` scatter) for the pair counts the fairness subsample
+    uses.  scipy reads the dense operand with ``K`` contiguous values
+    per record or pair, so the pair quantities are pair-major, and
+    ``diffs`` lets scipy copy ``Y`` record-major first (``M * K``
+    values, against the ``2 P * K`` the gather reads): at 2000-50 000
+    pairs that beat gathering ``K`` strided values per pair straight
+    from ``(K, M)`` with ``np.take``.  Both products' results are fresh
+    arrays: scipy has no ``out=``.
 
     The term is :math:`L = \sum_p (\|\tilde x_{i_p} - \tilde x_{j_p}\|^2
     - D^*_p)^2` with the fixed target ``D*`` taken from ``X_star``, and
     it is evaluated on the memberships, never on :math:`\tilde X`.  The
     pair differences ``dU = diffs(U)`` have rows summing to zero (every
-    row of ``U`` sums to 1), so :math:`\tilde x_{i_p} - \tilde x_{j_p} =
-    dU_p V_c` and, with :math:`A = V_c V_c^T`:
+    record's memberships sum to 1), so :math:`\tilde x_{i_p} -
+    \tilde x_{j_p} = dU_p V_c` and, with :math:`A = V_c V_c^T`:
 
     .. math::
 
         \tilde D_p = \bigl((dU\,A) \circ dU\bigr)_p \mathbf 1, \quad
         e = \tilde D - D^*, \quad
-        S = A_{inc}^T (4 e \circ dU), \quad
-        \frac{\partial L}{\partial \tilde X} = S V_c.
+        S = \bigl(A_{inc}^T (4 e \circ dU)\bigr)^T, \quad
+        \frac{\partial L}{\partial \tilde X} = S^T V_c.
 
     :meth:`loss_row_grad` returns :math:`\partial L / \partial V =
-    (U^T S) V_c` and :math:`S A` for :math:`\partial L / \partial U`:
+    (U S^T) V_c` and :math:`A S` for :math:`\partial L / \partial U`,
+    with ``U``, ``S`` and ``A S`` of shape ``(K, M)``:
     ``O(n_pairs * K^2)`` per call, where the same sum on
     :math:`\tilde X` costs ``O(n_pairs * N)``.
     """
@@ -348,34 +407,40 @@ class PairScatter:
         return int(self._A.shape[0])
 
     def diffs(self, Y: np.ndarray) -> np.ndarray:
-        """``Y[ii] - Y[jj]``, shape (n_pairs, Y.shape[1])."""
-        return self._A @ Y
+        """``(Y[:, ii] - Y[:, jj])^T`` for ``(K, M)`` ``Y``: shape ``(n_pairs, K)``."""
+        return self._A @ Y.T
 
     def scatter_add(self, G: np.ndarray, contrib: np.ndarray) -> np.ndarray:
-        """``G[ii] += contrib; G[jj] -= contrib`` in place."""
-        G += self._At @ contrib
+        """``G[:, ii] += contrib.T; G[:, jj] -= contrib.T`` in place, for
+        ``(K, M)`` ``G`` and ``(n_pairs, K)`` ``contrib``."""
+        G += (self._At @ contrib).T
         return G
 
     def loss_row_grad(
         self, U: np.ndarray, Vc: np.ndarray, A: np.ndarray, W=None
     ) -> Tuple[float, np.ndarray, np.ndarray, None]:
-        """(loss, dL/dV, dL/dU up to a constant per row, None).
+        """(loss, dL/dV, dL/dU up to a constant per record, None).
 
-        The common fairness-kernel call (module docstring); ``W`` is
-        unused.  dL/dU is returned in a reusable thread-local buffer;
-        consume it before the next call.
+        The common fairness-kernel call (module docstring) on ``(K, M)``
+        memberships; ``W`` is unused.  dL/dU is returned as a ``(K, M)``
+        reusable thread-local buffer; consume it before the next call.
+        Besides the two sparse products' results, every array the call
+        writes is a thread-local buffer.
         """
-        m, k = U.shape
+        k, m = U.shape
+        ws = self._ws
         dU = self.diffs(U)
-        err = np.einsum("pk,pk->p", dU @ A, dU)
+        dU_A = np.matmul(dU, A, out=ws.take("du_a", dU.shape))
+        err = np.einsum("pk,pk->p", dU_A, dU, out=ws.take("err", (self.n_pairs,)))
         err -= self._d_star
         loss = float(err @ err)
-        dU *= 4.0 * err[:, None]
-        S = self._ws.take("s", (m, k))
+        err *= 4.0
+        dU *= err[:, None]
+        S = ws.take("s", (k, m))
         S.fill(0.0)
         self.scatter_add(S, dU)
-        dL_dU = np.matmul(S, A, out=self._ws.take("du", (m, k)))
-        return loss, (U.T @ S) @ Vc, dL_dU, None
+        dL_dU = np.matmul(A, S, out=ws.take("du", (k, m)))
+        return loss, (U @ S.T) @ Vc, dL_dU, None
 
 
 class FullPairFairness:
@@ -433,6 +498,12 @@ class FullPairFairness:
     centring ``U`` alone would leave :math:`A` of the size of the
     offset squared.
 
+    The formulas read :math:`U` as ``M x K``, as Definition 8 does;
+    :meth:`loss_row_grad` holds it K-major, as the ``(K, M)`` array
+    :math:`U^T` (module docstring, "Layout"), and keeps :math:`U_c`,
+    :math:`U_c A`, :math:`H_k` and its ``dU`` as ``(K, M)`` thread-local
+    buffers, so each ``(M, K)`` product above runs transposed.
+
     Near-cancellation stays: when :math:`\tilde D \to D^*` to many
     digits, the bracketed Gram terms cancel and the loss loses
     significance (:class:`LandmarkFairness` computes each error entry
@@ -450,19 +521,19 @@ class FullPairFairness:
         self._ws = Workspace()
 
     def _row_term(self, U: np.ndarray, A: np.ndarray, W: Optional[np.ndarray]):
-        """(loss, H_k, W, A W) at memberships U and prototype Gram A.
+        """(loss, H_k, W, A W) at ``(K, M)`` memberships U and prototype Gram A.
 
-        ``W`` is computed as ``U_c^T X*_c`` when ``None``.  ``H_k``
-        lives in a thread-local buffer.
+        ``W`` is computed as ``U_c X*_c`` when ``None``.  ``H_k`` is
+        returned as a ``(K, M)`` thread-local buffer.
         """
-        m, k = U.shape
+        k, m = U.shape
         ws = self._ws
-        Uc = np.subtract(U, (self._ones @ U) / m, out=ws.take("uc", (m, k)))
+        Uc = np.subtract(U, ((U @ self._ones) / m)[:, None], out=ws.take("uc", (k, m)))
         if W is None:
-            W = Uc.T @ self._Xs
-        B = Uc.T @ Uc
-        UcA = np.matmul(Uc, A, out=ws.take("uc_a", (m, k)))
-        delta = np.einsum("mk,mk->m", UcA, Uc)
+            W = Uc @ self._Xs
+        B = Uc @ Uc.T
+        UcA = np.matmul(A, Uc, out=ws.take("uc_a", (k, m)))
+        delta = np.einsum("km,km->m", UcA, Uc)
         delta -= self._s
         d_sum = float(delta.sum())
         BA = B @ A
@@ -474,30 +545,31 @@ class FullPairFairness:
         )
         loss = 2.0 * m * float(delta @ delta) + 2.0 * d_sum**2 + 4.0 * gram_terms
         r = m * delta + d_sum
-        H = np.matmul(UcA, 2.0 * B, out=ws.take("h", (m, k)))
-        H -= delta @ Uc
-        H += np.multiply(r[:, None], Uc, out=UcA)
+        H = np.matmul(2.0 * B, UcA, out=ws.take("h", (k, m)))
+        H -= (Uc @ delta)[:, None]
+        H += np.multiply(Uc, r, out=UcA)
         # The loss is exactly >= 0 in real arithmetic; clip the rounding noise.
         return max(loss, 0.0), H, W, AW
 
     def loss(self, X_tilde: np.ndarray, U: np.ndarray, V: np.ndarray) -> float:
         """``sum((D_tilde - D_star)**2)``; works on the factors of
-        ``X_tilde = U V`` alone."""
+        ``X_tilde = U V`` alone (``U`` of shape ``(M, K)``)."""
         Vc = V - V.mean(axis=0)
-        return self._row_term(U, Vc @ Vc.T, None)[0]
+        return self._row_term(U.T, Vc @ Vc.T, None)[0]
 
     def loss_row_grad(
         self, U: np.ndarray, Vc: np.ndarray, A: np.ndarray, W: np.ndarray
     ) -> Tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-        """(loss, dL/dV, 8 H_k A, 16 A W) — see the class docstring.
+        """(loss, dL/dV, (8 H_k A)^T, 16 A W) — see the class docstring.
 
-        The common fairness-kernel call (module docstring), with
-        ``W = U^T X*_c``.  The ``(M, K)`` term is returned in a reusable
-        thread-local buffer; consume it before the next call.
+        The common fairness-kernel call (module docstring) on ``(K, M)``
+        memberships, with ``W = U X*_c``.  The ``(K, M)`` term is
+        returned in a reusable thread-local buffer; consume it before
+        the next call.
         """
         loss, H, W, AW = self._row_term(U, A, W)
-        grad_V = (8.0 * (U.T @ H) - 16.0 * (W @ W.T)) @ Vc
-        dL_dU = np.matmul(H, 8.0 * A, out=self._ws.take("du", H.shape))
+        grad_V = (8.0 * (U @ H.T) - 16.0 * (W @ W.T)) @ Vc
+        dL_dU = np.matmul(8.0 * A, H, out=self._ws.take("du", H.shape))
         return loss, grad_V, dL_dU, 16.0 * AW
 
     def add_grad(
@@ -506,14 +578,15 @@ class FullPairFairness:
         """Add ``mu * dL/dX_tilde`` into ``G``; returns the loss.
 
         The ``X_tilde``-space form of the gradient, for a caller that
-        holds one; the objective contracts in K-space instead
+        holds one (``X_tilde`` and ``G`` of shape ``(M, N)``, ``U`` of
+        shape ``(M, K)``); the objective contracts in K-space instead
         (:meth:`loss_row_grad`).
         """
         Vc = V - V.mean(axis=0)
-        loss, H, W, _ = self._row_term(U, Vc @ Vc.T, None)
-        H -= self._Xs @ (2.0 * W.T)
+        loss, H, W, _ = self._row_term(U.T, Vc @ Vc.T, None)
+        H -= (2.0 * W) @ self._Xs.T
         H *= 8.0 * mu
-        G += H @ Vc
+        G += H.T @ Vc
         return loss
 
 
@@ -565,61 +638,70 @@ def _block_rows(m: int, row_cost: int) -> int:
 
 
 def minkowski_dists_blocked(
-    X: np.ndarray,
+    Xt: np.ndarray,
     V: np.ndarray,
     alpha: np.ndarray,
     p: float,
     *,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """``d[i, k] = sum_n alpha_n |X[i, n] - V[k, n]|^p`` in row blocks.
+    """``d[k, i] = sum_n alpha_n |Xt[n, i] - V[k, n]|^p`` in record blocks.
 
-    Identical per-row arithmetic to the reference tensor form (each
-    row's distances are an independent ``(K, N) @ (N,)`` contraction,
-    so blocking cannot change results), but the transient difference
+    Column-major records ``Xt`` ``(N, M)``, prototypes ``V`` ``(K, N)``;
+    the result is ``(K, M)`` (``out`` may be any ``(K, M)`` view, e.g.
+    the transpose of a row-major ``(M, K)`` array).  Each block of ``B``
+    records is copied row-major (``B x N``, a ``K``-th of the tensor's
+    size) and evaluated exactly as the reference tensor form: each
+    record's distances are an independent ``(K, N) @ (N,)`` contraction,
+    so blocking cannot change results, but the transient difference
     tensor is ``(B, K, N)`` with ``B`` capped by the block budget —
     generic-``p`` oracles stop scaling their memory with ``M``.
     """
-    m = X.shape[0]
+    m = Xt.shape[1]
     k, n = V.shape
     if out is None:
-        out = np.empty((m, k), dtype=np.float64)
+        out = np.empty((k, m), dtype=np.float64)
     block = _block_rows(m, k * n)
     for start in range(0, m, block):
         stop = min(start + block, m)
-        diff = X[start:stop, None, :] - V[None, :, :]
-        out[start:stop] = np.abs(diff) ** p @ alpha
+        Xb = np.ascontiguousarray(Xt[:, start:stop].T)
+        diff = Xb[:, None, :] - V[None, :, :]
+        out[:, start:stop] = (np.abs(diff) ** p @ alpha).T
     return out
 
 
 def minkowski_backward_blocked(
     P: np.ndarray,
-    X: np.ndarray,
+    Xt: np.ndarray,
     V: np.ndarray,
     alpha: np.ndarray,
     p: float,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Generic-``p`` analogue of :func:`sq_dist_backward`, row-blocked.
+    """Generic-``p`` analogue of :func:`sq_dist_backward`, in record blocks.
 
-    Given ``P = dL/d(-d)`` of shape ``(M, K)``, returns
+    Given ``P = dL/d(-d)`` of shape ``(K, M)`` and column-major records
+    ``Xt`` ``(N, M)``, returns
 
-    * ``grad_alpha[n] = -sum_{mk} P[m, k] |X[m, n] - V[k, n]|^p``
-    * ``grad_V[k, n] = p * alpha[n] * sum_m P[m, k] *
+    * ``grad_alpha[n] = -sum_{ki} P[k, i] |Xt[n, i] - V[k, n]|^p``
+    * ``grad_V[k, n] = p * alpha[n] * sum_i P[k, i] *
       sign(diff) |diff|^(p-1)``
 
     matching the reference einsum terms exactly, with the ``(B, K, N)``
-    difference tensors bounded by the block budget.
+    difference tensors bounded by the block budget; each block of
+    records and of ``P`` is copied row-major first, as in
+    :func:`minkowski_dists_blocked`.
     """
-    m = X.shape[0]
+    m = Xt.shape[1]
     k, n = V.shape
     grad_alpha = np.zeros(n, dtype=np.float64)
     grad_V = np.zeros((k, n), dtype=np.float64)
     block = _block_rows(m, k * n)
     for start in range(0, m, block):
         stop = min(start + block, m)
-        diff = X[start:stop, None, :] - V[None, :, :]
+        Xb = np.ascontiguousarray(Xt[:, start:stop].T)
+        diff = Xb[:, None, :] - V[None, :, :]
         absdiff = np.abs(diff)
-        Pb = P[start:stop]
+        Pb = np.ascontiguousarray(P[:, start:stop].T)
         grad_alpha -= np.einsum("mk,mkn->n", Pb, absdiff ** p)
         grad_V += np.einsum("mk,mkn->kn", Pb, np.sign(diff) * absdiff ** (p - 1.0))
     grad_V *= p * alpha[None, :]
@@ -627,7 +709,7 @@ def minkowski_backward_blocked(
 
 
 def minkowski_dists(
-    X: np.ndarray,
+    Xt: np.ndarray,
     V: np.ndarray,
     alpha: np.ndarray,
     p: float,
@@ -635,20 +717,21 @@ def minkowski_dists(
     x_sq: Optional[np.ndarray] = None,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """The distance forward: ``d[i, k] = sum_n alpha_n |X[i, n] - V[k, n]|^p``.
+    """The distance forward: ``d[k, i] = sum_n alpha_n |Xt[n, i] - V[k, n]|^p``.
 
+    ``(K, M)`` distances of column-major ``(N, M)`` records:
     :func:`weighted_sq_dists_gemm` at ``p = 2`` (``x_sq`` is its
-    optional precomputed ``X * X``), :func:`minkowski_dists_blocked`
+    optional precomputed ``Xt * Xt``), :func:`minkowski_dists_blocked`
     otherwise.
     """
     if p == 2.0:
-        return weighted_sq_dists_gemm(X, V, alpha, x_sq=x_sq, out=out)
-    return minkowski_dists_blocked(X, V, alpha, p, out=out)
+        return weighted_sq_dists_gemm(Xt, V, alpha, x_sq=x_sq, out=out)
+    return minkowski_dists_blocked(Xt, V, alpha, p, out=out)
 
 
 def minkowski_backward(
     P: np.ndarray,
-    X: np.ndarray,
+    Xt: np.ndarray,
     V: np.ndarray,
     alpha: np.ndarray,
     p: float,
@@ -657,12 +740,13 @@ def minkowski_backward(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The distance backward: ``(grad_alpha, grad_V)`` through ``d``.
 
+    ``P`` is ``(K, M)`` and ``Xt`` ``(N, M)``:
     :func:`sq_dist_backward` at ``p = 2``,
     :func:`minkowski_backward_blocked` otherwise.
     """
     if p == 2.0:
-        return sq_dist_backward(P, X, V, alpha, x_sq=x_sq)
-    return minkowski_backward_blocked(P, X, V, alpha, p)
+        return sq_dist_backward(P, Xt, V, alpha, x_sq=x_sq)
+    return minkowski_backward_blocked(P, Xt, V, alpha, p)
 
 
 class LandmarkFairness:

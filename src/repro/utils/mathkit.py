@@ -88,7 +88,9 @@ def weighted_minkowski_to_prototypes(
     if p == 2.0:
         d = weighted_sq_dists_rowstable(X, V, alpha)
     else:
-        d = minkowski_dists_blocked(X, V, alpha, p)
+        # The kernel writes (K, M); its transposed view lands row-major.
+        d = np.empty((X.shape[0], V.shape[0]), dtype=np.float64)
+        minkowski_dists_blocked(X.T, V, alpha, p, out=d.T)
         np.maximum(d, 0.0, out=d)
     if root:
         d = d ** (1.0 / p)

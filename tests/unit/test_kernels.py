@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,8 +28,8 @@ class TestForwardKernels:
     def test_gemm_matches_tensor(self, case):
         X, V, alpha = case
         np.testing.assert_allclose(
-            kernels.weighted_sq_dists_gemm(X, V, alpha),
-            _tensor_dists(X, V, alpha),
+            kernels.weighted_sq_dists_gemm(X.T, V, alpha),
+            _tensor_dists(X, V, alpha).T,
             rtol=1e-12,
             atol=1e-12,
         )
@@ -44,17 +45,17 @@ class TestForwardKernels:
 
     def test_gemm_precomputed_square_and_out(self, case):
         X, V, alpha = case
-        out = np.empty((X.shape[0], V.shape[0]))
-        got = kernels.weighted_sq_dists_gemm(X, V, alpha, x_sq=X * X, out=out)
+        out = np.empty((V.shape[0], X.shape[0]))
+        got = kernels.weighted_sq_dists_gemm(X.T, V, alpha, x_sq=X.T * X.T, out=out)
         assert got is out
-        np.testing.assert_allclose(got, _tensor_dists(X, V, alpha), rtol=1e-12)
+        np.testing.assert_allclose(got, _tensor_dists(X, V, alpha).T, rtol=1e-12)
 
     def test_distances_nonnegative(self, rng):
         # Cancellation-prone case: records equal to a prototype.
         V = rng.normal(size=(3, 5))
         X = np.repeat(V, 4, axis=0)
         alpha = rng.uniform(0.1, 1.0, size=5)
-        assert np.all(kernels.weighted_sq_dists_gemm(X, V, alpha) >= 0.0)
+        assert np.all(kernels.weighted_sq_dists_gemm(X.T, V, alpha) >= 0.0)
         assert np.all(kernels.weighted_sq_dists_rowstable(X, V, alpha) >= 0.0)
 
     @pytest.mark.parametrize("block", [1, 3, 7, 25])
@@ -85,14 +86,37 @@ class TestForwardKernels:
         )
 
 
+TINY = np.finfo(np.float64).tiny
+
+
 class TestSoftmaxNegInplace:
     def test_matches_mathkit_softmax_bitwise(self, case):
         X, V, alpha = case
-        d = kernels.weighted_sq_dists_gemm(X, V, alpha)
-        expected = softmax(-d, axis=1)
+        d = kernels.weighted_sq_dists_gemm(X.T, V, alpha)
+        expected = softmax(-d, axis=0)
+        expected[expected < TINY] = 0.0
         got = kernels.softmax_neg_inplace(d)
         assert got is d  # in-place, same buffer
         assert np.array_equal(got, expected)
+
+    def test_underflowed_memberships_are_exact_zeros(self):
+        """Gaps of 720 and 730 (exp lands in the subnormal range,
+        708-745) and of 760 and 800 (exp underflows to 0) all give
+        exact zeros; the rest is mathkit's softmax to the bit."""
+        d = np.array(
+            [
+                [0.0, 0.0, 1.0],
+                [720.0, 800.0, 2.0],
+                [730.0, 760.0, 1.5],
+            ]
+        )
+        reference = softmax(-d, axis=0)
+        assert 0.0 < reference[1, 0] < TINY and 0.0 < reference[2, 0] < TINY
+        got = kernels.softmax_neg_inplace(d.copy())
+        assert got[1, 0] == got[2, 0] == got[1, 1] == got[2, 1] == 0.0
+        assert got[0, 0] == got[0, 1] == 1.0
+        assert not np.any((got > 0.0) & (got < TINY))
+        assert np.array_equal(got, np.where(reference < TINY, 0.0, reference))
 
 
 class TestBackwardKernel:
@@ -102,7 +126,7 @@ class TestBackwardKernel:
         diff = X[:, None, :] - V[None, :, :]
         ref_alpha = -np.einsum("mk,mkn->n", P, diff * diff)
         ref_V = 2.0 * alpha[None, :] * np.einsum("mk,mkn->kn", P, diff)
-        got_alpha, got_V = kernels.sq_dist_backward(P, X, V, alpha)
+        got_alpha, got_V = kernels.sq_dist_backward(P.T, X.T, V, alpha)
         np.testing.assert_allclose(got_alpha, ref_alpha, rtol=1e-10, atol=1e-10)
         np.testing.assert_allclose(got_V, ref_V, rtol=1e-10, atol=1e-10)
 
@@ -113,7 +137,7 @@ class TestPairScatter:
         ii = rng.integers(0, 20, size=40)
         jj = rng.integers(0, 20, size=40)
         ps = kernels.PairScatter(ii, jj, X)
-        assert np.array_equal(ps.diffs(X), X[ii] - X[jj])
+        assert np.array_equal(ps.diffs(X.T), X[ii] - X[jj])
 
     def test_scatter_matches_add_at(self, rng):
         m, n, n_pairs = 20, 5, 60
@@ -124,17 +148,42 @@ class TestPairScatter:
         got = expected.copy()
         np.add.at(expected, ii, contrib)
         np.add.at(expected, jj, -contrib)
-        kernels.PairScatter(ii, jj, expected).scatter_add(got, contrib)
+        kernels.PairScatter(ii, jj, expected).scatter_add(got.T, contrib)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
     def test_repeated_indices_accumulate(self):
         G = np.zeros((3, 2))
         ii = np.array([0, 0, 0])
         jj = np.array([2, 2, 1])
-        kernels.PairScatter(ii, jj, G).scatter_add(G, np.ones((3, 2)))
+        kernels.PairScatter(ii, jj, G).scatter_add(G.T, np.ones((3, 2)))
         np.testing.assert_allclose(G[0], [3.0, 3.0])
         np.testing.assert_allclose(G[1], [-1.0, -1.0])
         np.testing.assert_allclose(G[2], [-2.0, -2.0])
+
+
+    def test_warm_call_keeps_its_products_in_its_workspace(self, rng):
+        """On a warm call only scipy allocates: the gather's record-major
+        copy of U and (P, K) result, and the scatter's (M, K) result
+        (scipy has no ``out=``), at most one (P, K) and one (M, K)
+        array at a time.  The pair products and the (P,) errors reuse
+        thread-local buffers; a 64 KiB allowance covers Python objects
+        and is below any (M,) or (P,) array here."""
+        m, k, n_pairs = 20_000, 10, 50_000
+        ii = rng.integers(0, m, size=n_pairs)
+        jj = (ii + rng.integers(1, m, size=n_pairs)) % m
+        ps = kernels.PairScatter(ii, jj, rng.normal(size=(m, 6)))
+        U = np.ascontiguousarray(softmax(rng.normal(size=(m, k)), axis=1).T)
+        Vc = rng.normal(size=(k, 8))
+        Vc -= Vc.mean(axis=0)
+        A = Vc @ Vc.T
+        ps.loss_row_grad(U, Vc, A)
+        tracemalloc.start()
+        try:
+            ps.loss_row_grad(U, Vc, A)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (n_pairs * k + m * k) + 64 * 1024
 
 
 class TestWorkspace:
@@ -212,8 +261,8 @@ class TestBlockedMinkowskiKernels:
         diff = X[:, None, :] - V[None, :, :]
         expected = (np.abs(diff) ** p) @ alpha
         np.testing.assert_allclose(
-            kernels.minkowski_dists_blocked(X, V, alpha, p),
-            expected,
+            kernels.minkowski_dists_blocked(X.T, V, alpha, p),
+            expected.T,
             rtol=1e-12,
             atol=1e-12,
         )
@@ -227,7 +276,7 @@ class TestBlockedMinkowskiKernels:
         ref_alpha = -np.einsum("mk,mkn->n", P, absdiff ** p)
         deriv = np.sign(diff) * absdiff ** (p - 1.0)
         ref_V = p * alpha[None, :] * np.einsum("mk,mkn->kn", P, deriv)
-        got_alpha, got_V = kernels.minkowski_backward_blocked(P, X, V, alpha, p)
+        got_alpha, got_V = kernels.minkowski_backward_blocked(P.T, X.T, V, alpha, p)
         np.testing.assert_allclose(got_alpha, ref_alpha, rtol=1e-10, atol=1e-10)
         np.testing.assert_allclose(got_V, ref_V, rtol=1e-10, atol=1e-10)
 
@@ -235,9 +284,9 @@ class TestBlockedMinkowskiKernels:
         """A tiny block budget (forcing many blocks) must not change
         per-row results — each row is an independent contraction."""
         X, V, alpha = make_kernel_case(m=23, k=3, n=4)
-        one_shot = kernels.minkowski_dists_blocked(X, V, alpha, 3.0)
+        one_shot = kernels.minkowski_dists_blocked(X.T, V, alpha, 3.0)
         monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 16)
-        many_blocks = kernels.minkowski_dists_blocked(X, V, alpha, 3.0)
+        many_blocks = kernels.minkowski_dists_blocked(X.T, V, alpha, 3.0)
         assert np.array_equal(one_shot, many_blocks)
 
 

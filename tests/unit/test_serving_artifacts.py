@@ -126,6 +126,31 @@ class TestValidation:
         with pytest.raises(ArtifactError, match="shape"):
             load_artifact(saved)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n_prototypes", "two"),
+            ("n_prototypes", 2.5),
+            ("lambda_util", None),
+            ("max_pairs", 0),
+            ("max_pairs", -5),
+            ("max_pairs", "2000 pairs"),
+        ],
+    )
+    def test_malformed_model_value_names_its_key(self, saved, key, value):
+        """A bad model value raises ArtifactError (a ReproError the
+        server reports), never a bare ValueError, and a max_pairs that
+        is neither null nor >= 1 fails at load, not at each refit."""
+        path = os.path.join(saved, MANIFEST_NAME)
+        with open(path) as fh:
+            manifest = json.load(fh)
+        manifest["model"][key] = value
+        # Only the manifest text changes, so the array checksum holds.
+        with open(path, "w") as fh:
+            json.dump(manifest, fh)
+        with pytest.raises(ArtifactError, match=key):
+            load_artifact(saved)
+
 
 class TestOracleConfig:
     """The fairness-oracle configuration round-trips through the manifest."""
