@@ -75,7 +75,7 @@ P99_SLACK_SINGLECORE_S = 3.0
 
 def _expected_answers(artifact_dir: str, bodies: list) -> list:
     """Fault-free /v1/score answers, JSON-round-tripped like the wire."""
-    client = InProcessClient(InferenceEngine(load_artifact(artifact_dir), cache_size=0))
+    client = InProcessClient(InferenceEngine(load_artifact(artifact_dir)))
     return [
         client.request("POST", "/v1/score", json.loads(body))["scores"]
         for body in bodies
@@ -190,7 +190,6 @@ def bench_chaos(quick: bool = True) -> dict:
             blue,
             port=0,
             workers=WORKERS,
-            cache_size=0,
             deadline_s=DEADLINE_S,
             max_retries=MAX_RETRIES,
             breaker_threshold=10_000,

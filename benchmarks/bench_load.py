@@ -204,9 +204,7 @@ def bench_workers(quick: bool = True) -> dict:
         blue, green, dataset = _save_artifacts(root)
         bodies = _bodies(dataset)
         for workers in (1, 2):
-            service = serve_artifact(
-                blue, port=0, workers=workers, cache_size=0
-            )
+            service = serve_artifact(blue, port=0, workers=workers)
             service.start()
             try:
                 host, port = service.address

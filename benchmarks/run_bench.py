@@ -245,7 +245,7 @@ def _serving_engine(n: int = 12):
         task="classification",
     )
     artifact = fit_serving_pipeline(dataset, n_prototypes=8, max_iter=40, random_state=0)
-    return InferenceEngine(artifact, cache_size=0), rng
+    return InferenceEngine(artifact), rng
 
 
 def _serving_latencies(engine, rng, n: int, samples: int) -> list:

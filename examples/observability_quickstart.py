@@ -7,7 +7,7 @@ Three tours through the telemetry layer on one small served model:
    per-restart L-BFGS) to ``fit_trace.json``;
 2. **metrics scrape** — start the decision service on a free port and
    scrape ``GET /v1/metrics`` exactly like Prometheus would, printing
-   the serving series (requests, cache, latency histogram);
+   the serving series (requests, micro-batching, latency histogram);
 3. **fairness drift** — serve a baseline stream, then a shifted stream
    whose group-1 records score systematically lower; the sliding-window
    monitor widens its decision-rate gap past tolerance and raises the

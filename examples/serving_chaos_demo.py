@@ -41,7 +41,7 @@ def main():
     tmp = tempfile.mkdtemp(prefix="repro-chaos-")
     blue = save_artifact(f"{tmp}/blue", artifact)
     green = save_artifact(f"{tmp}/green", artifact)
-    reference = InferenceEngine(load_artifact(blue), cache_size=0)
+    reference = InferenceEngine(load_artifact(blue))
 
     # --- online: two workers, deadline armed, chaos injected ----------
     chaos = ChaosConfig(
@@ -52,7 +52,6 @@ def main():
     dispatcher = EngineDispatcher(
         load_artifact(blue),
         n_workers=2,
-        cache_size=0,
         deadline_s=0.4,
         max_retries=4,
         breaker_threshold=100,  # soak config: see the README runbook

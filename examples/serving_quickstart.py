@@ -9,7 +9,7 @@ top of the paper pipeline:
    reloaded model reproduces ``transform`` output bitwise;
 3. stand up the JSON decision service on a local port;
 4. answer ``score``, ``rank`` and ``decide`` requests through the HTTP
-   client and show the cache warming up across repeated traffic.
+   client and read the traffic counters back from ``/v1/stats``.
 
 Run:  python examples/serving_quickstart.py
 """
@@ -40,7 +40,7 @@ def main():
     print(f"artifact saved to {path}")
 
     # --- online: load, serve, request ---------------------------------
-    engine = InferenceEngine(load_artifact(path), batch_size=256, cache_size=1024)
+    engine = InferenceEngine(load_artifact(path), batch_size=256)
     with DecisionService(engine, port=0) as service:
         host, port = service.address
         client = HTTPClient(host, port)
@@ -66,13 +66,10 @@ def main():
             f"thresholds {decisions['thresholds']})"
         )
 
-        # repeated traffic hits the representation cache
-        for _ in range(3):
-            client.score(requests)
         stats = client.stats()
         print(
-            f"served {stats['records']} records, "
-            f"cache hit ratio {stats['cache_hit_ratio']:.2f}"
+            f"served {stats['requests']} requests ({stats['records']} records) "
+            f"in {stats['batch_flushes']} model passes"
         )
 
 

@@ -151,12 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="max rows per model evaluation (default 256)",
     )
     serve.add_argument(
-        "--cache-size",
-        type=int,
-        default=4096,
-        help="per-record representation cache capacity (default 4096)",
-    )
-    serve.add_argument(
         "--batch-delay-ms",
         type=float,
         default=0.0,
@@ -442,7 +436,6 @@ def _cmd_serve(args) -> int:
             host=args.host,
             port=args.port,
             batch_size=args.batch_size,
-            cache_size=args.cache_size,
             max_batch_delay=args.batch_delay_ms / 1000.0,
             workers=args.workers,
             deadline_s=(args.deadline_ms / 1000.0) if args.deadline_ms > 0 else None,

@@ -3,8 +3,8 @@
 The batch pipeline fits and measures; this package serves.  A fitted
 pipeline is packaged as a versioned directory artifact
 (:mod:`repro.serving.artifacts`), loaded into an
-:class:`~repro.serving.engine.InferenceEngine` (micro-batching, LRU
-caching, chunked evaluation), and exposed either in process
+:class:`~repro.serving.engine.InferenceEngine` (micro-batching,
+chunked evaluation), and exposed either in process
 (:class:`~repro.serving.client.InProcessClient`) or over a stdlib JSON
 HTTP API (:class:`~repro.serving.service.DecisionService`).  For
 multi-core boxes, :class:`~repro.serving.dispatcher.EngineDispatcher`
@@ -52,7 +52,7 @@ from repro.serving.dispatcher import (
     DispatchError,
     EngineDispatcher,
 )
-from repro.serving.engine import InferenceEngine, LRUCache, MicroBatcher
+from repro.serving.engine import InferenceEngine, MicroBatcher
 from repro.serving.fit import fit_serving_pipeline
 from repro.serving.online import DRIFT_POLICIES, DriftPolicy, OnlineController
 from repro.serving.service import DecisionService, RequestError, dispatch, serve_artifact
@@ -65,7 +65,6 @@ __all__ = [
     "load_artifact",
     "fit_serving_pipeline",
     "InferenceEngine",
-    "LRUCache",
     "MicroBatcher",
     "EngineDispatcher",
     "DispatchError",

@@ -8,8 +8,8 @@ the same ingredients the fit-time executor uses
 (:mod:`repro.core.executor`):
 
 * **N forked worker processes**, each owning a full engine (its own
-  micro-batcher, representation cache, metrics registry, and fairness
-  monitor), connected to the parent by one duplex pipe each;
+  micro-batcher, metrics registry, and fairness monitor), connected
+  to the parent by one duplex pipe each;
 * **shared-memory model broadcast** — the artifact's float arrays are
   published once through the content-addressed
   :class:`~repro.utils.shm.ShmArena` and workers attach read-only
@@ -281,10 +281,6 @@ def _serving_worker_main(
                 break
             kind = message[0]
             if kind == "ping":
-                if engine is not None:
-                    engine.registry.gauge("serving_cache_entries").set(
-                        len(engine._cache)
-                    )
                 conn.send(("ping", True, None, telemetry_delta()))
                 continue
             if kind == "load":
@@ -364,7 +360,7 @@ class EngineDispatcher:
     verbs), so :class:`~repro.serving.service.DecisionService` and the
     in-process client work unchanged against a multi-process tier.
 
-    Parameters mirror the engine's: ``batch_size`` / ``cache_size`` /
+    Parameters mirror the engine's: ``batch_size`` and
     ``max_batch_delay`` apply *per worker*.  Resilience knobs:
 
     ``deadline_s``
@@ -393,7 +389,6 @@ class EngineDispatcher:
         *,
         n_workers: int = 2,
         batch_size: int = 256,
-        cache_size: int = 4096,
         max_batch_delay: float = 0.0,
         max_retries: int = 2,
         deadline_s: Optional[float] = None,
@@ -440,7 +435,6 @@ class EngineDispatcher:
         self._chaos = chaos if chaos is not None else ChaosConfig.from_env()
         self._engine_kwargs = dict(
             batch_size=batch_size,
-            cache_size=cache_size,
             max_batch_delay=max_batch_delay,
         )
         self.registry = MetricsRegistry()
@@ -1106,7 +1100,7 @@ class EngineDispatcher:
         return {"any": flagged}
 
     def stats(self) -> Dict:
-        """Traffic/cache counters reduced across workers.
+        """Traffic and batching counters reduced across workers.
 
         Sums each worker-labelled series back into the engine's
         unlabelled totals and adds a ``workers`` block (liveness,
@@ -1117,9 +1111,6 @@ class EngineDispatcher:
         """
         self._pull()
         snapshot = self.registry.snapshot()
-        hits = sum_counter(snapshot, "serving_cache_hits_total")
-        misses = sum_counter(snapshot, "serving_cache_misses_total")
-        lookups = hits + misses
         per_worker: Dict[str, int] = {}
         for key, value in snapshot.get("counters", {}).items():
             name, labels = parse_metric_key(key)
@@ -1127,11 +1118,6 @@ class EngineDispatcher:
                 per_worker[labels["worker"]] = (
                     per_worker.get(labels["worker"], 0) + int(value)
                 )
-        cache_entries = sum(
-            value
-            for key, value in snapshot.get("gauges", {}).items()
-            if parse_metric_key(key)[0] == "serving_cache_entries"
-        )
         with self._pick_lock:
             workers = list(self._workers)
         alive = sum(1 for w in workers if w.alive)
@@ -1141,10 +1127,6 @@ class EngineDispatcher:
         return {
             "requests": int(sum_counter(snapshot, "serving_requests_total")),
             "records": int(sum_counter(snapshot, "serving_records_total")),
-            "cache_hits": int(hits),
-            "cache_misses": int(misses),
-            "cache_hit_ratio": (hits / lookups) if lookups else 0.0,
-            "cache_entries": int(cache_entries),
             "batch_flushes": int(
                 sum_counter(snapshot, "serving_batch_flushes_total")
             ),

@@ -2,15 +2,12 @@
 
 The :class:`InferenceEngine` answers the four serving verbs —
 ``transform``, ``score``, ``rank``, ``decide`` — on top of a
-:class:`~repro.serving.artifacts.ServingArtifact`.  Three mechanisms
+:class:`~repro.serving.artifacts.ServingArtifact`.  Two mechanisms
 make it fit online traffic rather than batch experiments:
 
 * **micro-batching** — concurrent callers' records are coalesced into
   one matrix pass through the model (leader/follower pattern: the
   first caller in becomes the flusher for everything queued behind it);
-* **LRU caching** — the fair representation of each record is cached
-  under a hash of its raw bytes, so repeated records (hot users, retry
-  storms) skip the model entirely;
 * **chunked evaluation** — the model evaluates at most ``batch_size``
   rows at a time (see ``IFair.memberships``), so a single huge request
   cannot blow memory.  Each chunk goes through the row-stable kernels
@@ -29,10 +26,8 @@ order and diagnostics.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
-from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -195,57 +190,6 @@ class MicroBatcher:
                 entry.event.set()
 
 
-class LRUCache:
-    """Thread-safe byte-key -> array LRU with hit/miss accounting."""
-
-    def __init__(
-        self,
-        capacity: int,
-        *,
-        hit_counter: Optional[Counter] = None,
-        miss_counter: Optional[Counter] = None,
-    ):
-        if capacity < 0:
-            raise ValidationError("cache capacity must be non-negative")
-        self.capacity = int(capacity)
-        self._store: "OrderedDict[bytes, np.ndarray]" = OrderedDict()
-        self._lock = threading.Lock()
-        self._hits = hit_counter if hit_counter is not None else Counter()
-        self._misses = miss_counter if miss_counter is not None else Counter()
-
-    @property
-    def hits(self) -> int:
-        return int(self._hits.value)
-
-    @property
-    def misses(self) -> int:
-        return int(self._misses.value)
-
-    def get(self, key: bytes) -> Optional[np.ndarray]:
-        with self._lock:
-            value = self._store.get(key)
-            if value is not None:
-                self._store.move_to_end(key)
-        if value is None:
-            self._misses.inc()
-            return None
-        self._hits.inc()
-        return value
-
-    def put(self, key: bytes, value: np.ndarray) -> None:
-        if self.capacity == 0:
-            return
-        with self._lock:
-            self._store[key] = value
-            self._store.move_to_end(key)
-            while len(self._store) > self.capacity:
-                self._store.popitem(last=False)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._store)
-
-
 class InferenceEngine:
     """Serve a fitted pipeline to online callers.
 
@@ -255,8 +199,6 @@ class InferenceEngine:
         The fitted pipeline to serve.
     batch_size:
         Upper bound on rows per model evaluation (chunking).
-    cache_size:
-        Per-record representation cache capacity; 0 disables caching.
     max_batch_delay:
         Seconds the micro-batch leader waits for followers.  The
         default 0 adds no latency; raise it (e.g. to 0.002) to trade
@@ -268,7 +210,6 @@ class InferenceEngine:
         artifact: ServingArtifact,
         *,
         batch_size: int = 256,
-        cache_size: int = 4096,
         max_batch_delay: float = 0.0,
     ):
         if batch_size < 1:
@@ -279,11 +220,6 @@ class InferenceEngine:
         # engines in one process never mix series, and /v1/metrics
         # renders this registry merged with the process-wide one.
         self.registry = MetricsRegistry()
-        self._cache = LRUCache(
-            cache_size,
-            hit_counter=self.registry.counter("serving_cache_hits_total"),
-            miss_counter=self.registry.counter("serving_cache_misses_total"),
-        )
         self._batcher = MicroBatcher(
             self._represent,
             max_delay=max_batch_delay,
@@ -367,31 +303,11 @@ class InferenceEngine:
                 X, batch_size=self.batch_size, validate=False
             )
 
-    @staticmethod
-    def _keys(X: np.ndarray) -> List[bytes]:
-        return [hashlib.blake2b(row.tobytes(), digest_size=16).digest() for row in X]
-
     def _fair_representation(self, X: np.ndarray) -> np.ndarray:
-        """Cache-aware path from encoded records to fair representations."""
+        """Encoded records -> fair representations, through the batcher."""
         self._requests.inc()
         self._records.inc(X.shape[0])
-        if self._cache.capacity == 0:  # skip per-row hashing entirely
-            return self._batcher.submit(X)
-        keys = self._keys(X)
-        Z = np.empty((X.shape[0], self.artifact.n_features))
-        miss_rows: List[int] = []
-        for i, key in enumerate(keys):
-            cached = self._cache.get(key)
-            if cached is None:
-                miss_rows.append(i)
-            else:
-                Z[i] = cached
-        if miss_rows:
-            Z_miss = self._batcher.submit(X[miss_rows])
-            for j, i in enumerate(miss_rows):
-                Z[i] = Z_miss[j]
-                self._cache.put(keys[i], Z_miss[j].copy())
-        return Z
+        return self._batcher.submit(X)
 
     # ------------------------------------------------------------------
     # serving verbs
@@ -524,22 +440,15 @@ class InferenceEngine:
         return evaluate_scores(dataset, [query], predicted, k=k)
 
     def stats(self) -> Dict:
-        """Serving counters: traffic, cache behaviour, batching.
+        """Serving counters: traffic, batching.
 
         Every number is read from the engine's metrics registry — the
         same instruments ``/v1/metrics`` renders — plus the fairness
         monitor's current window state.
         """
-        hits, misses = self._cache.hits, self._cache.misses
-        lookups = hits + misses
-        self.registry.gauge("serving_cache_entries").set(len(self._cache))
         return {
             "requests": self.n_requests,
             "records": self.n_records,
-            "cache_hits": hits,
-            "cache_misses": misses,
-            "cache_hit_ratio": (hits / lookups) if lookups else 0.0,
-            "cache_entries": len(self._cache),
             "batch_flushes": self._batcher.n_flushes,
             "coalesced_requests": self._batcher.n_coalesced,
             "endpoints": sorted(self.endpoints()),
@@ -554,7 +463,6 @@ class InferenceEngine:
         carries fit/executor/shm counters — including worker deltas the
         executors reduced — so one scrape covers the whole process.
         """
-        self.registry.gauge("serving_cache_entries").set(len(self._cache))
         self.registry.gauge("serving_uptime_seconds").set(self.uptime_s)
         return prometheus_text(
             self.registry.snapshot(), get_registry().snapshot()

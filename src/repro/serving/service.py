@@ -9,7 +9,7 @@ both request paths share one implementation and cannot drift apart.
 Endpoints
 ---------
 ``GET  /v1/health``     liveness + version/checksum/uptime + metadata
-``GET  /v1/stats``      traffic / cache / batching / fairness counters
+``GET  /v1/stats``      traffic / batching / fairness counters
 ``GET  /v1/metrics``    Prometheus text exposition (all process series)
 ``POST /v1/transform``  ``{"records": [[...], ...]}`` -> fair representations
 ``POST /v1/score``      ``{"records": ...}`` -> outcome probabilities
@@ -255,9 +255,12 @@ class _Handler(BaseHTTPRequestHandler):
             )
 
     def _log_access(self, status: int, start: float) -> None:
+        level = 20 if self.server.verbose else 10  # INFO / DEBUG
+        if not _ACCESS_LOG.isEnabledFor(level):
+            return  # quiet by default: build no record on the hot path
         latency_ms = (time.perf_counter() - start) * 1000.0
         _ACCESS_LOG.log(
-            20 if self.server.verbose else 10,  # INFO / DEBUG
+            level,
             "%s %s",
             self.command,
             self.path,
@@ -388,10 +391,11 @@ class _Handler(BaseHTTPRequestHandler):
         # http.server's own notices (malformed request lines, broken
         # pipes) route through the logging layer instead of stderr;
         # per-request access records are emitted by _handle with
-        # status and latency.  Quiet by default either way.
-        _SERVER_LOG.log(
-            20 if self.server.verbose else 10, format % args if args else format
-        )
+        # status and latency.  Quiet by default either way, and then
+        # send_response's per-reply call formats nothing.
+        level = 20 if self.server.verbose else 10
+        if _SERVER_LOG.isEnabledFor(level):
+            _SERVER_LOG.log(level, format % args if args else format)
 
 
 class DecisionService:
@@ -485,7 +489,6 @@ def serve_artifact(
     host: str = "127.0.0.1",
     port: int = 8351,
     batch_size: int = 256,
-    cache_size: int = 4096,
     max_batch_delay: float = 0.0,
     workers: int = 1,
     deadline_s: Optional[float] = None,
@@ -559,7 +562,6 @@ def serve_artifact(
         engine = InferenceEngine(
             artifact,
             batch_size=batch_size,
-            cache_size=cache_size,
             max_batch_delay=max_batch_delay,
         )
     else:
@@ -569,7 +571,6 @@ def serve_artifact(
             artifact,
             n_workers=int(workers),
             batch_size=batch_size,
-            cache_size=cache_size,
             max_batch_delay=max_batch_delay,
             deadline_s=deadline_s,
             max_inflight=max_inflight,

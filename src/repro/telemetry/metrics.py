@@ -367,8 +367,7 @@ def sum_counter(snapshot: Dict, name: str) -> float:
 def sum_gauge(snapshot: Dict, name: str) -> float:
     """Sum one gauge series across every label combination.
 
-    Meaningful for additive gauges (per-worker cache entry counts, live
-    slot counts); last-write-wins gauges should be read per label.
+    Meaningful for additive gauges (live slot counts); last-write-wins gauges should be read per label.
     """
     return sum(
         value

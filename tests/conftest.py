@@ -4,11 +4,13 @@ Everything is deliberately tiny: the goal is correctness of code paths
 and invariants, not statistical power.  Benchmark-scale runs live in
 ``benchmarks/``.
 
-Besides the dataset fixtures, this module provides the seeded
+Besides the dataset fixtures (and ``census_serving_artifact``, a
+serving artifact at the served shape), this module provides the seeded
 *factory* fixtures (``make_data``, ``make_objective``, ``make_theta``,
 ``make_kernel_case``) that replace per-file copy-pasted array setup,
 the ``make_landmark_era_artifact`` builder of old-format artifacts,
-the ``keep_alive_median_rtt`` probe shared by both serving tiers' tests,
+the ``keep_alive_median_rtt`` probe and the ``answers_with_history``
+runner shared by both serving tiers' tests,
 and registers the Hypothesis profiles: ``default`` for interactive and
 CI runs, ``nightly`` (selected via ``HYPOTHESIS_PROFILE=nightly``) for
 the scheduled high-budget property sweep.
@@ -29,10 +31,12 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from repro.data.census import generate_census
 from repro.data.compas import generate_compas
 from repro.data.credit import generate_credit
 from repro.data.xing import generate_xing
 from repro.pipeline.config import ExperimentConfig
+from repro.serving.fit import fit_serving_pipeline
 
 settings.register_profile("default", max_examples=40, deadline=None)
 settings.register_profile("nightly", max_examples=400, deadline=None)
@@ -186,6 +190,26 @@ def tiny_credit():
 
 
 @pytest.fixture(scope="session")
+def tiny_census():
+    """Census records at the served width (101 encoded features)."""
+    return generate_census(200, random_state=3)
+
+
+@pytest.fixture(scope="session")
+def census_serving_artifact(tiny_census):
+    """A serving artifact at the served shape: K = 10, N = 101.
+
+    At this shape the BLAS products behind ``U @ prototypes_`` and the
+    scorer can give a record other bits alone than inside a 16-record
+    request, so an answer that reuses rows an earlier request computed
+    shows up here; at ``tiny_compas``'s width they tend to agree.
+    """
+    return fit_serving_pipeline(
+        tiny_census, n_prototypes=10, max_iter=25, max_pairs=500, random_state=3
+    )
+
+
+@pytest.fixture(scope="session")
 def tiny_xing():
     return generate_xing(n_queries=4, candidates_per_query=15, random_state=3)
 
@@ -215,6 +239,34 @@ def keep_alive_median_rtt():
         return statistics.median(rtts)
 
     return measure
+
+
+@pytest.fixture
+def answers_with_history():
+    """One request's answers on a fresh engine and on a warmed one.
+
+    The warmed engine first serves each record of the request alone.
+    An answer is the ``transform`` rows, the scores, and ``decide``'s
+    scores and decisions; ``fairness_drift`` follows the monitor's
+    window and is left out.  Works on either serving tier.
+    """
+
+    def answers(engine, X, groups):
+        decided = engine.decide(X, groups)
+        return (
+            engine.transform(X),
+            engine.score(X),
+            decided["scores"],
+            decided["decisions"],
+        )
+
+    def run(fresh, warmed, X, groups):
+        first = answers(fresh, X, groups)
+        for row, group in zip(X, groups):
+            answers(warmed, row[None, :], [group])
+        return first, answers(warmed, X, groups)
+
+    return run
 
 
 @pytest.fixture

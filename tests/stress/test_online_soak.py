@@ -54,7 +54,6 @@ class TestOnlineSoak:
             port=0,
             workers=2,
             batch_size=32,
-            cache_size=0,
             max_retries=4,
             breaker_threshold=100,
             chaos=ChaosConfig(seed=29, **CHAOS),

@@ -48,9 +48,7 @@ CHAOS = dict(crash=0.02, hang=0.01, slow=0.05, corrupt=0.01,
 # breaker exists for deterministic crash loops (poisoned artifact,
 # broken engine), and a chaos soak would trip a default-tuned one on
 # perfectly recoverable random faults.
-RESILIENCE = dict(
-    deadline_s=0.4, max_retries=4, cache_size=0, breaker_threshold=100
-)
+RESILIENCE = dict(deadline_s=0.4, max_retries=4, breaker_threshold=100)
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +66,7 @@ def artifact_dirs(tiny_compas, tmp_path_factory):
 @pytest.fixture(scope="module")
 def engine(artifact_dirs):
     """The fault-free reference: one in-process engine, no chaos."""
-    return InferenceEngine(load_artifact(artifact_dirs[0]), cache_size=0)
+    return InferenceEngine(load_artifact(artifact_dirs[0]))
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +94,6 @@ class TestHungWorker:
             deadline_s=0.3,
             probe_interval_s=0.02,
             backoff_base_s=0.02,
-            cache_size=0,
             chaos=ChaosConfig(hang_once=str(token), hang_s=60.0),
         )
         try:

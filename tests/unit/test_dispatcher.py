@@ -45,14 +45,12 @@ def artifact_dir(tiny_compas, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def engine(artifact_dir):
-    return InferenceEngine(load_artifact(artifact_dir), cache_size=256)
+    return InferenceEngine(load_artifact(artifact_dir))
 
 
 @pytest.fixture(scope="module")
 def dispatcher(artifact_dir):
-    with EngineDispatcher(
-        load_artifact(artifact_dir), n_workers=2, cache_size=256
-    ) as running:
+    with EngineDispatcher(load_artifact(artifact_dir), n_workers=2) as running:
         yield running
 
 
@@ -89,6 +87,23 @@ class TestParity:
         got.pop("fairness_drift")
         expected.pop("fairness_drift")
         assert got == expected
+
+    def test_answer_does_not_depend_on_earlier_traffic(
+        self, census_serving_artifact, tiny_census, tmp_path, answers_with_history
+    ):
+        # Each worker's answer to a 16-record request must not depend on
+        # which of its records that worker served before.
+        path = save_artifact(str(tmp_path / "census"), census_serving_artifact)
+        with EngineDispatcher(load_artifact(path), n_workers=2) as fresh:
+            with EngineDispatcher(load_artifact(path), n_workers=2) as warmed:
+                first, after = answers_with_history(
+                    fresh,
+                    warmed,
+                    tiny_census.X[:16],
+                    tiny_census.protected[:16].tolist(),
+                )
+        for got, expected in zip(after, first):
+            np.testing.assert_array_equal(got, expected)
 
     def test_in_process_client_works_against_dispatcher(
         self, dispatcher, engine, records
@@ -138,18 +153,13 @@ class TestTelemetry:
 
     def test_one_read_pulls_counts_from_every_worker(self, artifact_dir, records):
         # Replies carry no telemetry: the read itself pings each worker.
-        dispatcher = EngineDispatcher(
-            load_artifact(artifact_dir), n_workers=2, cache_size=256
-        )
+        dispatcher = EngineDispatcher(load_artifact(artifact_dir), n_workers=2)
         try:
             for _ in range(6):
                 dispatcher.score(records)
             stats = dispatcher.stats()
             assert stats["requests"] == 6
             assert stats["records"] == 6 * len(records)
-            # Both workers cached the same records; each sets its
-            # cache gauge when it answers the pull.
-            assert stats["cache_entries"] == 2 * len(records)
             text = dispatcher.metrics_text()
             for index in range(2):
                 assert f'serving_requests_total{{worker="{index}"}}' in text
@@ -163,7 +173,6 @@ class TestTelemetry:
         dispatcher = EngineDispatcher(
             load_artifact(artifact_dir),
             n_workers=2,
-            cache_size=0,
             chaos=ChaosConfig(hang_once=str(token), hang_s=1.5),
         )
         try:
@@ -202,9 +211,7 @@ class TestCrashRecovery:
     def test_killed_worker_is_respawned_and_requests_survive(
         self, artifact_dir, records
     ):
-        dispatcher = EngineDispatcher(
-            load_artifact(artifact_dir), n_workers=2, cache_size=0
-        )
+        dispatcher = EngineDispatcher(load_artifact(artifact_dir), n_workers=2)
         try:
             baseline = dispatcher.score(records)
             victim = dispatcher._workers[0].process
@@ -239,7 +246,6 @@ class TestAdmission:
         dispatcher = EngineDispatcher(
             load_artifact(artifact_dir),
             n_workers=1,
-            cache_size=0,
             max_inflight=1,
             shed_queue_s=0.02,
             chaos=ChaosConfig(slow=1.0, slow_ms=400.0, seed=5),
@@ -283,7 +289,6 @@ class TestBreaker:
         dispatcher = EngineDispatcher(
             load_artifact(artifact_dir),
             n_workers=1,
-            cache_size=0,
             max_retries=1,
             breaker_threshold=1,
             evict_probation_s=30.0,  # held open until the test heals it

@@ -1,13 +1,14 @@
-"""Tests for repro.serving.engine (batching, caching, the four verbs)."""
+"""Tests for repro.serving.engine (batching, the four verbs)."""
 
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.serving.engine import InferenceEngine, LRUCache, MicroBatcher
+from repro.serving.engine import InferenceEngine, MicroBatcher
 from repro.serving.fit import fit_serving_pipeline
 
 
@@ -20,32 +21,7 @@ def artifact(tiny_compas):
 
 @pytest.fixture
 def engine(artifact):
-    return InferenceEngine(artifact, batch_size=16, cache_size=128)
-
-
-class TestLRUCache:
-    def test_hit_miss_accounting(self):
-        cache = LRUCache(2)
-        assert cache.get(b"a") is None
-        cache.put(b"a", np.ones(2))
-        assert np.array_equal(cache.get(b"a"), np.ones(2))
-        assert cache.hits == 1 and cache.misses == 1
-
-    def test_eviction_is_lru(self):
-        cache = LRUCache(2)
-        cache.put(b"a", np.zeros(1))
-        cache.put(b"b", np.zeros(1))
-        cache.get(b"a")  # refresh a
-        cache.put(b"c", np.zeros(1))  # evicts b
-        assert cache.get(b"b") is None
-        assert cache.get(b"a") is not None
-        assert len(cache) == 2
-
-    def test_zero_capacity_disables_storage(self):
-        cache = LRUCache(0)
-        cache.put(b"a", np.zeros(1))
-        assert cache.get(b"a") is None
-        assert len(cache) == 0
+    return InferenceEngine(artifact, batch_size=16)
 
 
 class TestMicroBatcher:
@@ -223,7 +199,7 @@ class TestEngineVerbs:
     def test_decide_encodes_once_and_feeds_that_x_to_the_monitor(
         self, artifact, tiny_compas, monkeypatch
     ):
-        engine = InferenceEngine(artifact, cache_size=0)
+        engine = InferenceEngine(artifact)
         X = tiny_compas.X[:20]
         groups = tiny_compas.protected[:20]
         scores = engine.score(X)
@@ -253,36 +229,42 @@ class TestEngineVerbs:
 
 
 class TestEngineCache:
-    def test_repeat_records_hit_cache(self, artifact, tiny_compas):
-        engine = InferenceEngine(artifact, cache_size=64)
-        X = tiny_compas.X[:8]
-        first = engine.transform(X)
-        stats = engine.stats()
-        assert stats["cache_misses"] == 8 and stats["cache_hits"] == 0
-        second = engine.transform(X)
-        stats = engine.stats()
-        assert stats["cache_hits"] == 8 and stats["cache_misses"] == 8
-        assert stats["cache_hit_ratio"] == 0.5
-        assert np.array_equal(first, second)
+    """The engine keeps no per-record state between requests."""
 
-    def test_partial_overlap_mixes_hits_and_misses(self, artifact, tiny_compas):
-        engine = InferenceEngine(artifact, cache_size=64)
-        engine.transform(tiny_compas.X[:4])
-        engine.transform(tiny_compas.X[2:6])
-        stats = engine.stats()
-        assert stats["cache_hits"] == 2
-        assert stats["cache_misses"] == 6
+    def test_answer_does_not_depend_on_earlier_traffic(
+        self, census_serving_artifact, tiny_census, answers_with_history
+    ):
+        # At this shape a record gets other bits alone than inside the
+        # 16-record request, so reusing a row an earlier request
+        # computed would change the answer.
+        fresh, after = answers_with_history(
+            InferenceEngine(census_serving_artifact),
+            InferenceEngine(census_serving_artifact),
+            tiny_census.X[:16],
+            tiny_census.protected[:16].tolist(),
+        )
+        for got, expected in zip(after, fresh):
+            np.testing.assert_array_equal(got, expected)
 
-    def test_cached_results_identical_to_uncached(self, artifact, tiny_compas):
-        cached = InferenceEngine(artifact, cache_size=64)
-        uncached = InferenceEngine(artifact, cache_size=0)
-        X = tiny_compas.X[:6]
-        cached.transform(X)  # warm
-        assert np.array_equal(cached.transform(X), uncached.transform(X))
+    def test_fresh_records_leave_no_state_behind(self, census_serving_artifact):
+        engine = InferenceEngine(census_serving_artifact)
+        rng = np.random.default_rng(0)
+        requests = rng.normal(size=(305, 16, census_serving_artifact.n_features))
+        for X in requests[300:]:  # warm-up
+            engine.score(X)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for X in requests[:300]:
+                engine.score(X)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert abs(retained) < 0.5 * 2**20
 
     def test_chunking_equals_unchunked(self, artifact, tiny_compas):
-        small = InferenceEngine(artifact, batch_size=3, cache_size=0)
-        big = InferenceEngine(artifact, batch_size=10_000, cache_size=0)
+        small = InferenceEngine(artifact, batch_size=3)
+        big = InferenceEngine(artifact, batch_size=10_000)
         X = tiny_compas.X[:25]
         assert np.array_equal(small.transform(X), big.transform(X))
 
