@@ -38,70 +38,70 @@ def main():
     artifact = fit_serving_pipeline(
         dataset, n_prototypes=4, max_iter=25, random_state=7
     )
-    tmp = tempfile.mkdtemp(prefix="repro-chaos-")
-    blue = save_artifact(f"{tmp}/blue", artifact)
-    green = save_artifact(f"{tmp}/green", artifact)
-    reference = InferenceEngine(load_artifact(blue))
+    with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
+        blue = save_artifact(f"{tmp}/blue", artifact)
+        green = save_artifact(f"{tmp}/green", artifact)
+        reference = InferenceEngine(load_artifact(blue))
 
-    # --- online: two workers, deadline armed, chaos injected ----------
-    chaos = ChaosConfig(
-        crash=0.05, hang=0.02, slow=0.10, corrupt=0.02,
-        slow_ms=20.0, hang_s=60.0, seed=13,
-    )
-    print(f"chaos armed: {chaos}")
-    dispatcher = EngineDispatcher(
-        load_artifact(blue),
-        n_workers=2,
-        deadline_s=0.4,
-        max_retries=4,
-        breaker_threshold=100,  # soak config: see the README runbook
-        probe_interval_s=0.02,
-        backoff_base_s=0.02,
-        chaos=chaos,
-    )
-    try:
-        batches = [dataset.X[i : i + 8] for i in range(0, 80, 8)]
-        mismatches = 0
-        for round_no in range(5):
-            for batch in batches:
-                got = dispatcher.score(batch)
-                if not np.array_equal(got, reference.score(batch)):
-                    mismatches += 1
-            if round_no == 2:
-                answer = dispatcher.reload(green)
-                print(
-                    f"  mid-chaos blue/green reload: {answer['status']} "
-                    f"({answer['workers']} workers flipped)"
-                )
-        served = 5 * len(batches)
-        print(
-            f"{served} requests served under chaos, "
-            f"{mismatches} wrong answers (must be 0)"
+        # --- online: two workers, deadline armed, chaos injected ------
+        chaos = ChaosConfig(
+            crash=0.05, hang=0.02, slow=0.10, corrupt=0.02,
+            slow_ms=20.0, hang_s=60.0, seed=13,
         )
+        print(f"chaos armed: {chaos}")
+        dispatcher = EngineDispatcher(
+            load_artifact(blue),
+            n_workers=2,
+            deadline_s=0.4,
+            max_retries=4,
+            breaker_threshold=100,  # soak config: see the README runbook
+            probe_interval_s=0.02,
+            backoff_base_s=0.02,
+            chaos=chaos,
+        )
+        try:
+            batches = [dataset.X[i : i + 8] for i in range(0, 80, 8)]
+            mismatches = 0
+            for round_no in range(5):
+                for batch in batches:
+                    got = dispatcher.score(batch)
+                    if not np.array_equal(got, reference.score(batch)):
+                        mismatches += 1
+                if round_no == 2:
+                    answer = dispatcher.reload(green)
+                    print(
+                        f"  mid-chaos blue/green reload: {answer['status']} "
+                        f"({answer['workers']} workers flipped)"
+                    )
+            served = 5 * len(batches)
+            print(
+                f"{served} requests served under chaos, "
+                f"{mismatches} wrong answers (must be 0)"
+            )
 
-        # Give the probe a moment to respawn any slot that died on the
-        # final requests — the tier heals itself in the background.
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline:
-            if dispatcher.health()["status"] == "ok":
-                break
-            time.sleep(0.05)
-        resilience = dispatcher.stats()["resilience"]
-        workers = dispatcher.stats()["workers"]
-        health = dispatcher.health()
-        print(
-            f"ledger: {resilience['deadline_kills']} deadline kills, "
-            f"{resilience['retries']} reroutes, "
-            f"{resilience['corrupt_frames']} corrupt frames, "
-            f"{workers['respawns']} respawns"
-        )
-        print(
-            f"health: {health['status']} "
-            f"({health['workers_alive']}/{health['workers']} workers alive)"
-        )
-    finally:
-        dispatcher.stop()
-    print("dispatcher stopped, all shared-memory segments released")
+            # Give the probe a moment to respawn any slot that died on the
+            # final requests — the tier heals itself in the background.
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                if dispatcher.health()["status"] == "ok":
+                    break
+                time.sleep(0.05)
+            resilience = dispatcher.stats()["resilience"]
+            workers = dispatcher.stats()["workers"]
+            health = dispatcher.health()
+            print(
+                f"ledger: {resilience['deadline_kills']} deadline kills, "
+                f"{resilience['retries']} reroutes, "
+                f"{resilience['corrupt_frames']} corrupt frames, "
+                f"{workers['respawns']} respawns"
+            )
+            print(
+                f"health: {health['status']} "
+                f"({health['workers_alive']}/{health['workers']} workers alive)"
+            )
+        finally:
+            dispatcher.stop()
+        print("dispatcher stopped, all shared-memory segments released")
 
 
 if __name__ == "__main__":

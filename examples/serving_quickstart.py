@@ -35,42 +35,42 @@ def main():
     artifact = fit_serving_pipeline(
         dataset, n_prototypes=8, max_iter=50, criterion="parity", random_state=42
     )
-    tmp = tempfile.mkdtemp(prefix="repro-serving-")
-    path = save_artifact(f"{tmp}/compas", artifact)
-    print(f"artifact saved to {path}")
+    with tempfile.TemporaryDirectory(prefix="repro-serving-") as tmp:
+        path = save_artifact(f"{tmp}/compas", artifact)
+        print(f"artifact saved to {path}")
 
-    # --- online: load, serve, request ---------------------------------
-    engine = InferenceEngine(load_artifact(path), batch_size=256)
-    with DecisionService(engine, port=0) as service:
-        host, port = service.address
-        client = HTTPClient(host, port)
-        print(f"service answering on http://{host}:{port}")
-        print("health:", client.health()["endpoints"])
+        # --- online: load, serve, request -----------------------------
+        engine = InferenceEngine(load_artifact(path), batch_size=256)
+        with DecisionService(engine, port=0) as service:
+            host, port = service.address
+            client = HTTPClient(host, port)
+            print(f"service answering on http://{host}:{port}")
+            print("health:", client.health()["endpoints"])
 
-        requests = dataset.X[:6].tolist()
-        groups = dataset.protected[:6].tolist()
+            requests = dataset.X[:6].tolist()
+            groups = dataset.protected[:6].tolist()
 
-        scores = client.score(requests)
-        print("scores:", np.round(scores, 3).tolist())
+            scores = client.score(requests)
+            print("scores:", np.round(scores, 3).tolist())
 
-        ranked = client.rank(requests, top_k=3, groups=groups)
-        print(
-            f"top-3: {ranked['order']} "
-            f"(protected share {ranked['protected_share']:.2f})"
-        )
+            ranked = client.rank(requests, top_k=3, groups=groups)
+            print(
+                f"top-3: {ranked['order']} "
+                f"(protected share {ranked['protected_share']:.2f})"
+            )
 
-        decisions = client.decide(requests, groups)
-        print(
-            f"decisions: {decisions['decisions']} "
-            f"(criterion {decisions['criterion']}, "
-            f"thresholds {decisions['thresholds']})"
-        )
+            decisions = client.decide(requests, groups)
+            print(
+                f"decisions: {decisions['decisions']} "
+                f"(criterion {decisions['criterion']}, "
+                f"thresholds {decisions['thresholds']})"
+            )
 
-        stats = client.stats()
-        print(
-            f"served {stats['requests']} requests ({stats['records']} records) "
-            f"in {stats['batch_flushes']} model passes"
-        )
+            stats = client.stats()
+            print(
+                f"served {stats['requests']} requests ({stats['records']} records) "
+                f"in {stats['batch_flushes']} model passes"
+            )
 
 
 if __name__ == "__main__":

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from repro.exceptions import ValidationError
+from repro.utils import blas
 from repro.utils.rng import RandomStateLike, check_random_state
 from repro.utils.validation import check_binary_labels, check_vector
 
@@ -55,7 +55,7 @@ def minimum_protected_targets(k: int, p: float, alpha: float = 0.1) -> np.ndarra
     prefix = np.arange(1, k + 1)
     # ppf returns the smallest t with CDF(t) >= alpha; a prefix passes
     # when its protected count is >= that quantile.
-    targets = stats.binom.ppf(alpha, prefix, p)
+    targets = blas.import_scipy("stats").binom.ppf(alpha, prefix, p)
     targets = np.nan_to_num(targets, nan=0.0)
     return targets.astype(np.int64)
 

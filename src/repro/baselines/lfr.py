@@ -45,11 +45,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from repro.exceptions import NotFittedError, ValidationError
 from repro.learners.base import ParamsMixin
-from repro.utils import kernels
+from repro.utils import blas, kernels
 from repro.utils.landmarks import select_landmarks
 from repro.utils.mathkit import softmax, weighted_minkowski_to_prototypes
 from repro.utils.rng import RandomStateLike, check_random_state, spawn_seeds
@@ -309,8 +308,10 @@ class LFR(ParamsMixin):
             random_state=self.random_state,
         )
         k, n = objective.n_prototypes, objective.n_features
-        bounds = (
-            [(None, None)] * (k * n) + [(0.0, None)] * n + [(0.0, 1.0)] * k
+        optimize = blas.import_scipy("optimize")
+        bounds = optimize.Bounds(
+            np.concatenate([np.full(k * n, -np.inf), np.zeros(n + k)]),
+            np.concatenate([np.full(k * n + n, np.inf), np.ones(k)]),
         )
         best_loss, best_theta = np.inf, None
         self.restarts_ = []

@@ -417,6 +417,10 @@ class WorkerPool:
         if self._started:
             return
         self._ctx = _process_context()
+        if self.is_fork:
+            # Pool tasks are fits and their scoring, which call SciPy's
+            # solver: load it once here rather than in every worker.
+            blas.import_scipy("optimize")
         self._workers = []
         self._conns = []
         for worker_id in range(self.n_workers):

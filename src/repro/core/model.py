@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from repro.core.executor import (
     POOL_MODES,
@@ -521,7 +520,7 @@ class IFair(ParamsMixin):
         """
         theta0 = self._initial_theta(objective, seed, index=index)
         with get_tracer().span("fit.restart", seed=int(seed), index=index):
-            result = optimize.minimize(
+            result = blas.import_scipy("optimize").minimize(
                 objective.loss_and_grad,
                 theta0,
                 jac=True,
@@ -546,7 +545,8 @@ class IFair(ParamsMixin):
     def _bounds(self, objective: IFairObjective):
         """V unbounded; alpha constrained non-negative."""
         n_v = objective.n_prototypes * objective.n_features
-        return [(None, None)] * n_v + [(0.0, None)] * objective.n_features
+        lower = np.concatenate([np.full(n_v, -np.inf), np.zeros(objective.n_features)])
+        return blas.import_scipy("optimize").Bounds(lower, np.inf)
 
     def _initial_theta(
         self, objective: IFairObjective, seed: int, *, index: int = -1

@@ -11,10 +11,10 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy import optimize
 
 from repro.exceptions import ValidationError
 from repro.learners.base import Classifier
+from repro.utils import blas
 from repro.utils.mathkit import sigmoid
 from repro.utils.validation import check_binary_labels, check_matrix
 
@@ -61,7 +61,7 @@ class LogisticRegression(Classifier):
         X = check_matrix(X, "X")
         y = check_binary_labels(y, "y", length=X.shape[0])
         theta0 = np.zeros(X.shape[1] + 1)
-        result = optimize.minimize(
+        result = blas.import_scipy("optimize").minimize(
             self._loss_grad,
             theta0,
             args=(X, y, self.l2),

@@ -22,6 +22,10 @@ testing all of it under injected crash/hang/slow/corrupt faults.
 drift and covariate shift with warm ``partial_fit`` refits over a
 sliding traffic window and blue/green hot-swaps of the refreshed model.
 
+Serving needs numpy alone: nothing imported here loads SciPy.
+``fit_serving_pipeline`` is resolved on first access, since
+:mod:`repro.serving.fit` loads SciPy's solver when it is imported.
+
 Typical flow::
 
     artifact = fit_serving_pipeline(generate_compas(1000, random_state=7))
@@ -53,7 +57,6 @@ from repro.serving.dispatcher import (
     EngineDispatcher,
 )
 from repro.serving.engine import InferenceEngine, MicroBatcher
-from repro.serving.fit import fit_serving_pipeline
 from repro.serving.online import DRIFT_POLICIES, DriftPolicy, OnlineController
 from repro.serving.service import DecisionService, RequestError, dispatch, serve_artifact
 
@@ -85,3 +88,11 @@ __all__ = [
     "InProcessClient",
     "HTTPClient",
 ]
+
+
+def __getattr__(name: str):
+    if name == "fit_serving_pipeline":
+        from repro.serving.fit import fit_serving_pipeline
+
+        return fit_serving_pipeline
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

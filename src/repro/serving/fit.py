@@ -38,6 +38,11 @@ from repro.serving.artifacts import ServingArtifact
 from repro.telemetry.tracing import get_tracer
 from repro.utils import blas
 
+# Load the solver with this module, before any fit starts: a fit then
+# never pays for the import, and worker processes forked from here
+# inherit it.
+blas.import_scipy("optimize")
+
 #: Mixture grid searched by ``tune=True`` — wide spacing, crossed with
 #: the model's prototype count.
 TUNE_MIXTURES: Tuple[float, ...] = (0.1, 1.0, 10.0)

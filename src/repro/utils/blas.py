@@ -24,17 +24,24 @@ The thread count changes results in the last bits, so every process
 that evaluates one problem must use the same count: the same one
 thread, whether the work runs serially or on executor workers.
 
-Libraries are resolved on first use, not at import; an OpenBLAS mapped
-after that is not controlled.  Without ``/proc`` or without any
-OpenBLAS every scope is a no-op.
+Libraries are resolved on first use, not at import.  SciPy bundles an
+OpenBLAS of its own, which ``scipy.optimize`` and ``scipy.stats`` map
+when first imported, and the library imports SciPy only where it is
+called, through :func:`import_scipy`.  That helper binds any OpenBLAS
+the import mapped: inside an open scope it runs at the innermost
+scope's count and gets its own count back when the last scope closes;
+outside every scope it keeps its count.  Without ``/proc`` or without
+any OpenBLAS every scope is a no-op.
 """
 
 from __future__ import annotations
 
 import ctypes
+import importlib
 import os
 import threading
 from contextlib import contextmanager
+from types import ModuleType
 from typing import Dict, Iterator, List, Optional
 
 from repro.exceptions import ValidationError
@@ -114,6 +121,26 @@ class ThreadController:
             self._libraries = [lib for lib in opened if lib is not None]
         return self._libraries
 
+    def adopt(self) -> None:
+        """Bind every OpenBLAS mapped since the libraries were resolved.
+
+        A library adopted inside an open scope runs at the innermost
+        scope's count, and its own count comes back when the last scope
+        closes.  One adopted outside every scope keeps its count.
+        """
+        with self._lock:
+            if self._libraries is None:
+                return  # the first resolve will find it
+            known = {lib.path for lib in self._libraries}
+            for path in _mapped_paths():
+                lib = None if path in known else OpenBLAS.open(path)
+                if lib is None:
+                    continue
+                self._libraries.append(lib)
+                if self._scopes:
+                    self._outer.append(lib.get())
+                    lib.set(self._scopes[-1][1])
+
     def thread_counts(self) -> Dict[str, int]:
         """Current thread count per library file name."""
         return {os.path.basename(lib.path): lib.get() for lib in self.libraries()}
@@ -129,25 +156,25 @@ class ThreadController:
         scope = (object(), n)
         with self._lock:
             libraries = self._resolve()
-            if libraries:
-                if not self._scopes:
-                    self._outer = [lib.get() for lib in libraries]
-                self._scopes.append(scope)
-                for lib in libraries:
-                    lib.set(n)
+            if not self._scopes:
+                self._outer = [lib.get() for lib in libraries]
+            self._scopes.append(scope)
+            for lib in libraries:
+                lib.set(n)
         try:
             yield
         finally:
-            if libraries:
-                with self._lock:
-                    if scope in self._scopes:
-                        self._scopes.remove(scope)
-                    if self._scopes:
-                        counts = [self._scopes[-1][1]] * len(libraries)
-                    else:
-                        counts = self._outer
-                    for lib, count in zip(libraries, counts):
-                        lib.set(count)
+            with self._lock:
+                # ``libraries`` is the resolved list itself, so it also
+                # holds what :meth:`adopt` appended inside the scope.
+                if scope in self._scopes:
+                    self._scopes.remove(scope)
+                if self._scopes:
+                    counts = [self._scopes[-1][1]] * len(libraries)
+                else:
+                    counts = self._outer
+                for lib, count in zip(libraries, counts):
+                    lib.set(count)
 
     def _after_fork_in_child(self) -> None:
         # The parent's open scopes belong to its threads, and another
@@ -172,3 +199,22 @@ def limit(n: int):
 def thread_counts() -> Dict[str, int]:
     """Current thread count of every controllable OpenBLAS, by file name."""
     return _CONTROLLER.thread_counts()
+
+
+_SCIPY: Dict[str, ModuleType] = {}
+
+
+def import_scipy(name: str) -> ModuleType:
+    """``scipy.<name>``, imported on the first call, its OpenBLAS adopted.
+
+    Every SciPy import of the library goes through here, so processes
+    that never call SciPy (the serving stack) never load it, and an
+    OpenBLAS the import maps runs at the count of the scope it was
+    mapped in (:meth:`ThreadController.adopt`).
+    """
+    module = _SCIPY.get(name)
+    if module is None:
+        module = importlib.import_module(f"scipy.{name}")
+        _CONTROLLER.adopt()
+        _SCIPY[name] = module
+    return module

@@ -140,7 +140,8 @@ import threading
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import sparse
+
+from repro.utils import blas
 
 __all__ = [
     "Workspace",
@@ -389,6 +390,7 @@ class PairScatter:
         m = X_star.shape[0]
         n_pairs = ii.size
         arange = np.arange(n_pairs)
+        sparse = blas.import_scipy("sparse")
         A = sparse.csr_matrix(
             (
                 np.concatenate([np.ones(n_pairs), -np.ones(n_pairs)]),

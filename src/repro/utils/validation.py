@@ -63,9 +63,10 @@ def check_vector(
 def check_binary_labels(y, name: str = "y", *, length: Optional[int] = None) -> np.ndarray:
     """Validate that ``y`` holds only 0/1 labels; returns a float64 array."""
     arr = check_vector(y, name, length=length)
-    values = np.unique(arr)
-    if not np.all(np.isin(values, (0.0, 1.0))):
-        raise ValidationError(f"{name} must contain only 0/1 labels, found values {values}")
+    if not ((arr == 0.0) | (arr == 1.0)).all():
+        raise ValidationError(
+            f"{name} must contain only 0/1 labels, found values {np.unique(arr)}"
+        )
     return arr
 
 

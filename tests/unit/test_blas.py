@@ -4,6 +4,10 @@
   an exception, when nested, and when several threads open scopes at
   once;
 * without a mapped OpenBLAS every scope is a no-op;
+* a library mapped inside an open scope (SciPy's, imported on first
+  use) runs at the innermost scope's count and gets its own count back
+  when the last scope closes; one mapped outside every scope keeps its
+  count;
 * executor tasks run at one thread on every backend, and a fit and the
   serving pipeline run at one thread and leave their caller's count as
   they found it;
@@ -145,6 +149,77 @@ class TestLimit:
             assert blas.thread_counts() == before
         assert controller.libraries() == []
         assert controller.thread_counts() == {}
+
+
+class _FakeLibrary:
+    """An OpenBLAS stand-in: a path and a thread count."""
+
+    def __init__(self, path, count):
+        self.path = path
+        self.count = count
+
+    def get(self):
+        return self.count
+
+    def set(self, n):
+        self.count = n
+
+
+@pytest.fixture
+def mapped(monkeypatch):
+    """The fake libraries mapped into the process; append to map one."""
+    libraries = []
+    monkeypatch.setattr(blas, "_mapped_paths", lambda: [lib.path for lib in libraries])
+    monkeypatch.setattr(
+        blas.OpenBLAS,
+        "open",
+        classmethod(lambda cls, path: next(lib for lib in libraries if lib.path == path)),
+    )
+    return libraries
+
+
+class TestAdoption:
+    def test_library_mapped_inside_a_scope_follows_it(self, mapped):
+        numpy_lib = _FakeLibrary("/libs/libopenblas64_.so", 4)
+        scipy_lib = _FakeLibrary("/libs/libscipy_openblas.so", 2)
+        mapped.append(numpy_lib)
+        controller = blas.ThreadController()
+        with controller.limit(3):
+            with controller.limit(1):
+                mapped.append(scipy_lib)
+                controller.adopt()
+                assert (numpy_lib.count, scipy_lib.count) == (1, 1)
+            assert (numpy_lib.count, scipy_lib.count) == (3, 3)
+        assert (numpy_lib.count, scipy_lib.count) == (4, 2)
+        assert controller.thread_counts() == {
+            "libopenblas64_.so": 4,
+            "libscipy_openblas.so": 2,
+        }
+
+    def test_library_mapped_outside_every_scope_keeps_its_count(self, mapped):
+        numpy_lib = _FakeLibrary("/libs/libopenblas64_.so", 4)
+        scipy_lib = _FakeLibrary("/libs/libscipy_openblas.so", 2)
+        mapped.append(numpy_lib)
+        controller = blas.ThreadController()
+        with controller.limit(1):
+            pass
+        mapped.append(scipy_lib)
+        controller.adopt()
+        controller.adopt()  # binds each library once
+        assert len(controller.libraries()) == 2
+        assert (numpy_lib.count, scipy_lib.count) == (4, 2)
+        with controller.limit(1):
+            assert (numpy_lib.count, scipy_lib.count) == (1, 1)
+        assert (numpy_lib.count, scipy_lib.count) == (4, 2)
+
+    def test_scope_opened_without_libraries_binds_later_ones(self, mapped):
+        scipy_lib = _FakeLibrary("/libs/libscipy_openblas.so", 2)
+        controller = blas.ThreadController()
+        with controller.limit(1):
+            mapped.append(scipy_lib)
+            controller.adopt()
+            assert scipy_lib.count == 1
+        assert scipy_lib.count == 2
 
 
 class TestWorkersAndFits:
