@@ -68,7 +68,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.executor import get_shared, shutdown_session_pools
+from repro.core.executor import get_shared
 from repro.core.model import IFair
 from repro.core.objective import IFairObjective
 from repro.core.tuning import GridSearch, HalvingConfig, TuningCriterion
@@ -191,34 +191,21 @@ def bench_fit(repeats: int) -> dict:
     rng = np.random.default_rng(2)
     X = rng.normal(size=(400, 20))
 
-    def fit(n_jobs=None, pool="per-call"):
+    def fit(n_jobs=None):
         return IFair(
             n_prototypes=8,
             n_restarts=2,
             max_iter=30,
             max_pairs=5000,
             n_jobs=n_jobs,
-            pool=pool,
             random_state=0,
         ).fit(X, [19])
 
-    timings = {
+    return {
         "fit_M400_N20_K8_r2_s": _best_of(fit, repeats),
         # jobs2 restarts fork real worker processes.
         "fit_M400_N20_K8_r2_jobs2_s": _best_of(lambda: fit(2), repeats),
-        # The session-pool row (ROADMAP residual (b)): _best_of's
-        # warm-up call primes the broker pool and publishes X into the
-        # arena cache, so every timed fit measures the warm path — no
-        # worker spawn, no re-broadcast.
-        "fit_M400_N20_K8_r2_jobs2_warm_s": _best_of(
-            lambda: fit(2, pool="session"), repeats
-        ),
     }
-    timings["fit_warm_pool_parity"] = bool(
-        np.array_equal(fit().theta_, fit(2, pool="session").theta_)
-    )
-    shutdown_session_pools()
-    return timings
 
 
 def bench_transform(repeats: int) -> dict:
@@ -535,7 +522,7 @@ def _tuning_setup(quick: bool):
     return grid, spec, shared
 
 
-def _run_tune_mode(grid, spec, shared, n_jobs, strategy, pool="per-call"):
+def _run_tune_mode(grid, spec, shared, n_jobs, strategy):
     """One timed GridSearch run over the benchmark problem."""
     search = GridSearch(
         partial(_tune_candidate_build, spec),
@@ -546,7 +533,6 @@ def _run_tune_mode(grid, spec, shared, n_jobs, strategy, pool="per-call"):
         halving=TUNE_HALVING,
         keep_artifacts=False,
         shared=shared,
-        pool=pool,
     )
     start = time.perf_counter()
     result = search.run()
@@ -648,7 +634,6 @@ GATE_LOWER_IS_BETTER = (
     "loss_and_grad_sampled2k_M400_s",
     "fit_M400_N20_K8_r2_s",
     "fit_M400_N20_K8_r2_jobs2_s",
-    "fit_M400_N20_K8_r2_jobs2_warm_s",
     "transform_M2000_N40_K10_s",
     "serving_transform_1rec_p50_s",
     "serving_transform_1rec_p99_s",
@@ -665,7 +650,7 @@ GATE_LOWER_IS_BETTER = (
 )
 
 #: Correctness flags that must never flip to false once recorded true
-#: (selection agreement across execution modes, warm-pool parity).
+#: (selection agreement across execution modes).
 GATE_MUST_STAY_TRUE = (
     "halving_agree_max_utility",
     "halving_agree_max_fairness",
@@ -673,7 +658,6 @@ GATE_MUST_STAY_TRUE = (
     "jobs_agree_max_utility",
     "jobs_agree_max_fairness",
     "jobs_agree_optimal",
-    "fit_warm_pool_parity",
     "telemetry_overhead_ok",
     # Serving-tier scaling flags: thresholds are cpu-count-conditioned
     # inside bench_load (strict on the 2-core CI runner), so the flag
@@ -778,8 +762,6 @@ def run(label: str, quick: bool, tune_jobs: int, trace_out=None) -> dict:
     entry["config"] = {"M": M, "N": N, "K": K, "p": 2.0}
     entry.update(bench_loss_and_grad(repeats))
     entry.update(bench_full_large_m(repeats, quick))
-    # Fit rows carry the warm-pool acceptance claim; give them the
-    # full repeat budget (each is only tens of milliseconds).
     entry.update(bench_fit(repeats))
     entry.update(bench_transform(repeats))
     entry.update(bench_serving(repeats))
@@ -956,13 +938,6 @@ def _print_summary(entry: dict) -> None:
         f"full pairs @ M={entry['large_M']}: p=2 "
         f"{entry['loss_and_grad_full_fast_largeM_s'] * 1e3:.2f} ms, p=3 "
         f"{entry['loss_and_grad_full_p3_largeM_s'] * 1e3:.2f} ms"
-    )
-    print(
-        "fit M400 jobs2: cold pool "
-        f"{entry['fit_M400_N20_K8_r2_jobs2_s'] * 1e3:.1f} ms, warm session "
-        f"pool {entry['fit_M400_N20_K8_r2_jobs2_warm_s'] * 1e3:.1f} ms "
-        f"(serial {entry['fit_M400_N20_K8_r2_s'] * 1e3:.1f} ms), parity "
-        f"{'OK' if entry['fit_warm_pool_parity'] else 'BROKEN'}"
     )
     print(
         "fairness monitor check (window 512, 99 columns, 64 fresh): "

@@ -31,6 +31,11 @@ The surface, by layer:
   :class:`DriftPolicy` + :data:`DRIFT_POLICIES` (the drift-response
   loop: sliding-window warm refits and blue/green hot reloads).
 * **Errors** — the exception hierarchy callers are expected to catch.
+
+Importing this module loads no SciPy, so a serving process may import
+from it: :func:`fit_serving_pipeline` is resolved on first access, as
+in :mod:`repro.serving`, because :mod:`repro.serving.fit` loads SciPy's
+solver when it is imported.
 """
 
 from __future__ import annotations
@@ -55,7 +60,6 @@ from repro.serving import (
     InProcessClient,
     OnlineController,
     ServingArtifact,
-    fit_serving_pipeline,
     load_artifact,
     save_artifact,
     serve_artifact,
@@ -91,12 +95,17 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    """Deprecation shim: forward legacy names to the root package.
+    """Lazy ``fit_serving_pipeline``, then the deprecation shim.
 
-    Lets ``repro.api`` stand in for older ``import repro`` call sites
-    (e.g. ``repro.api.SVDTransform``) while steering them — loudly but
+    The shim forwards legacy names to the root package: it lets
+    ``repro.api`` stand in for older ``import repro`` call sites (e.g.
+    ``repro.api.SVDTransform``) while steering them — loudly but
     non-fatally — toward the supported spelling.
     """
+    if name == "fit_serving_pipeline":
+        from repro.serving.fit import fit_serving_pipeline
+
+        return fit_serving_pipeline
     import repro
 
     if not name.startswith("_") and hasattr(repro, name):

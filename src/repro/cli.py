@@ -318,17 +318,6 @@ def _add_tuning_flags(parser: argparse.ArgumentParser) -> None:
             "learning-curve extrapolation (default rank)"
         ),
     )
-    parser.add_argument(
-        "--pool",
-        choices=("per-call", "session"),
-        default="per-call",
-        help=(
-            "worker-pool lifetime: per-call spawns and tears down a "
-            "pool per parallel section, session reuses one process-"
-            "wide warm pool plus the shared-memory arena cache "
-            "(default per-call)"
-        ),
-    )
 
 
 def _config(args) -> ExperimentConfig:
@@ -342,14 +331,12 @@ def _config(args) -> ExperimentConfig:
         args.tune_jobs is not None
         or args.tune_strategy != "exhaustive"
         or args.tune_promote != "rank"
-        or args.pool != "per-call"
     ):
         config = replace(
             config,
             tune_jobs=args.tune_jobs,
             tune_strategy=args.tune_strategy,
             tune_promote=args.tune_promote,
-            tune_pool=args.pool,
         )
     return config
 
@@ -387,7 +374,6 @@ def _cmd_fit_save(args) -> int:
         max_iter=args.max_iter,
         pair_mode=args.pair_mode,
         n_jobs=args.fit_jobs,
-        pool=args.pool,
         tune=args.tune,
         tune_criterion=args.tune_criterion,
         tune_jobs=args.tune_jobs,

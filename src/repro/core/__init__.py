@@ -17,13 +17,11 @@
 from repro.core.distance import WeightedMinkowski
 from repro.core.executor import (
     ParallelExecutor,
-    PoolBroker,
     TaskError,
     WorkerCrashError,
     WorkerPool,
     effective_n_jobs,
     run_tasks,
-    shutdown_session_pools,
 )
 from repro.core.model import IFair
 from repro.core.objective import IFairObjective
@@ -41,13 +39,11 @@ __all__ = [
     "IFair",
     "IFairObjective",
     "ParallelExecutor",
-    "PoolBroker",
     "WorkerPool",
     "TaskError",
     "WorkerCrashError",
     "effective_n_jobs",
     "run_tasks",
-    "shutdown_session_pools",
     "pareto_front",
     "is_dominated",
     "GridSearch",

@@ -24,12 +24,10 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.executor import (
-    POOL_MODES,
     ParallelExecutor,
     effective_n_jobs,
     get_config_token,
     get_shared,
-    get_shared_handles,
     get_state,
 )
 from repro.core.objective import PAIR_MODES, IFairObjective
@@ -70,60 +68,10 @@ def _stop_reason(result) -> str:
 # One (model, objective, bounds) triple per worker process: workers
 # serve every restart of one fit, so the deterministic objective —
 # including its pair precomputations — is rebuilt once from the
-# broadcast matrix, not once per task.
+# broadcast matrix, not once per task.  Keyed by the executor's
+# process-unique token, so one executor's entry never serves another's
+# tasks.
 _WORKER_FIT_CACHE: dict = {}
-
-# Oracle memo across *consecutive fits* on a session pool: the
-# objective (and bounds) are a pure function of (training matrix,
-# oracle parameters), so a warm worker refitting the same data — a
-# serving refit after tuning, repeated fits in a benchmark — reuses
-# the precomputed oracle instead of re-sampling pairs.  Keyed by the
-# broadcast segment *name*, which the arena mints content-addressed and
-# never reuses, plus every parameter the objective depends on; capped
-# to the two most recent oracles.
-_WORKER_ORACLE_CACHE: dict = {}
-_ORACLE_CACHE_SIZE = 2
-
-#: Constructor parameters the loss/gradient oracle depends on.  The
-#: optimisation knobs (n_restarts, max_iter, tol, warm_start_theta,
-#: n_jobs, pool, init, protected_alpha_init) deliberately do not enter
-#: the key: they shape the search over the oracle, not the oracle
-#: itself.
-_ORACLE_PARAM_KEYS = (
-    "n_prototypes",
-    "lambda_util",
-    "mu_fair",
-    "p",
-    "max_pairs",
-    "pair_mode",
-    "random_state",
-)
-
-
-def _oracle_cache_key(state: dict) -> Optional[tuple]:
-    """Content-stable cache key for the fit oracle, or None.
-
-    Only available when the training matrix arrived as a shared-memory
-    broadcast: the segment name then identifies its bytes (names are
-    never reused within a process).  Unhashable parameter values
-    (arrays) disable caching rather than mis-keying it.
-    """
-    handle = get_shared_handles().get("X")
-    if handle is None:
-        return None
-    params = state["params"]
-    values = tuple(params.get(key) for key in _ORACLE_PARAM_KEYS)
-    protected = state["protected"]
-    key = (
-        handle.name,
-        None if protected is None else tuple(protected),
-        values,
-    )
-    try:
-        hash(key)
-    except TypeError:  # pragma: no cover - defensive
-        return None
-    return key
 
 
 def _restart_task(payload: Tuple[int, int]) -> Tuple["RestartRecord", np.ndarray]:
@@ -136,30 +84,15 @@ def _restart_task(payload: Tuple[int, int]) -> Tuple["RestartRecord", np.ndarray
     """
     index, seed = payload
     state = get_state()
-    # Keyed by the executor's process-unique config token, not
-    # ``id(state)``: a session pool serves many consecutive fits, and
-    # the allocator may hand a dead state dict's id to the next one.
     key = get_config_token()
     cached = _WORKER_FIT_CACHE.get(key)
     if cached is None:
-        _WORKER_FIT_CACHE.clear()  # one fit per config; drop stale entries
+        _WORKER_FIT_CACHE.clear()  # one fit per executor; drop stale entries
         model = IFair(**state["params"])
         X = get_shared()["X"]
         model._protected = check_protected_indices(state["protected"], X.shape[1])
-        oracle_key = _oracle_cache_key(state)
-        oracle = _WORKER_ORACLE_CACHE.get(oracle_key) if oracle_key else None
-        if oracle is not None:
-            # A warm worker reusing the memoised oracle across fits —
-            # the cache-efficiency signal the session-pool design buys.
-            get_registry().counter("fit_oracle_memo_hits_total").inc()
-        if oracle is None:
-            objective = model._build_objective(X)
-            oracle = (objective, model._bounds(objective))
-            if oracle_key is not None:
-                _WORKER_ORACLE_CACHE[oracle_key] = oracle
-                while len(_WORKER_ORACLE_CACHE) > _ORACLE_CACHE_SIZE:
-                    _WORKER_ORACLE_CACHE.pop(next(iter(_WORKER_ORACLE_CACHE)))
-        cached = (model, *oracle)
+        objective = model._build_objective(X)
+        cached = (model, objective, model._bounds(objective))
         _WORKER_FIT_CACHE[key] = cached
     model, objective, bounds = cached
     return model._run_restart(objective, bounds, seed, index=index)
@@ -206,15 +139,6 @@ class IFair(ParamsMixin):
         rebuilds the (deterministic) objective once.  The selected
         model is identical to the sequential result for any value: the
         best loss wins, ties broken by seed order.
-    pool:
-        ``"per-call"`` (default) spawns a private worker pool for this
-        fit; ``"session"`` borrows the persistent broker pool
-        (:class:`repro.core.executor.PoolBroker`) and the shm arena
-        cache, so repeated fits — serving refits, tuning loops — skip
-        the pool spawn, and a matrix already broadcast (e.g. by the
-        grid search that chose these hyper-parameters) is reused
-        rather than re-published.  The fitted model is bitwise
-        identical either way.
     warm_start_theta:
         Optional packed parameter vector ``[V.ravel(), alpha]`` used
         as the first restart's initial point instead of its seeded
@@ -251,7 +175,6 @@ class IFair(ParamsMixin):
         max_pairs: Optional[int] = None,
         pair_mode: str = "auto",
         n_jobs: Optional[int] = None,
-        pool: str = "per-call",
         warm_start_theta: Optional[np.ndarray] = None,
         random_state: RandomStateLike = 0,
     ):
@@ -265,10 +188,6 @@ class IFair(ParamsMixin):
             raise ValidationError(f"pair_mode must be one of {PAIR_MODES}")
         if n_jobs is not None and (n_jobs == 0 or n_jobs < -1):
             raise ValidationError("n_jobs must be None, -1, or a positive integer")
-        if pool not in POOL_MODES:
-            raise ValidationError(
-                f"pool must be one of {POOL_MODES}, got {pool!r}"
-            )
         self.n_prototypes = int(n_prototypes)
         self.lambda_util = float(lambda_util)
         self.mu_fair = float(mu_fair)
@@ -281,7 +200,6 @@ class IFair(ParamsMixin):
         self.max_pairs = max_pairs
         self.pair_mode = pair_mode
         self.n_jobs = n_jobs
-        self.pool = pool
         self.warm_start_theta = (
             None
             if warm_start_theta is None
@@ -423,9 +341,8 @@ class IFair(ParamsMixin):
             workers,
             state=state,
             shared={"X": X},
-            pool=self.pool,
-        ) as pool:
-            return pool.map(list(enumerate(seeds)))
+        ) as executor:
+            return executor.map(list(enumerate(seeds)))
 
     # get_params/set_params come from ParamsMixin: constructor-argument
     # introspection yields exactly the historical explicit dict (every

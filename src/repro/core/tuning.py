@@ -15,9 +15,9 @@ callback returning ``(utility, fairness)``.  Two execution knobs make
 the protocol fast at scale:
 
 * ``n_jobs`` fans candidate fits over a process pool
-  (:class:`repro.core.executor.ParallelExecutor`); results are
-  identical to the serial run because every candidate is seeded by its
-  parameters, not by execution order.
+  (:class:`repro.core.executor.ParallelExecutor`) that lives as long
+  as the search; results are identical to the serial run because
+  every candidate is seeded by its parameters, not by execution order.
 * ``strategy="halving"`` replaces the exhaustive sweep with successive
   halving: rung 0 fits *every* candidate at a fraction of the
   iteration budget with a single restart, each rung promotes the top
@@ -28,20 +28,13 @@ the protocol fast at scale:
   exhaustive search picks whenever its winner survives the early
   rungs (pinned on seeded data by the property suite).
 
-Two further knobs refine those:
-
-* ``pool="session"`` borrows the persistent broker worker pool
-  (:class:`repro.core.executor.PoolBroker`) instead of spawning a
-  fresh one, and routes the ``shared`` broadcast through the shm
-  arena cache — back-to-back searches and refits skip the spawn and
-  re-broadcast cost, with bitwise-identical results.
-* ``HalvingConfig(promote="extrapolate")`` replaces rank-based rung
-  promotion with a learning-curve extrapolation: each candidate's
-  scores over the rung budgets are fit with a saturating curve and
-  the rung promotes on the *predicted full-budget* score, so a slow
-  starter with the higher asymptote survives rungs that pure ranking
-  would eliminate it from.  The Pareto-front protection of the rank
-  promoter is kept.
+``HalvingConfig(promote="extrapolate")`` refines halving: it replaces
+rank-based rung promotion with a learning-curve extrapolation.  Each
+candidate's scores over the rung budgets are fit with a saturating
+curve and the rung promotes on the *predicted full-budget* score, so a
+slow starter with the higher asymptote survives rungs that pure
+ranking would eliminate it from.  The Pareto-front protection of the
+rank promoter is kept.
 """
 
 from __future__ import annotations
@@ -54,12 +47,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.executor import (
-    POOL_MODES,
-    ParallelExecutor,
-    effective_n_jobs,
-    get_state,
-)
+from repro.core.executor import ParallelExecutor, effective_n_jobs, get_state
 from repro.core.pareto import pareto_front
 from repro.exceptions import ValidationError
 from repro.telemetry.metrics import get_registry
@@ -301,7 +289,7 @@ def _default_theta_of(artifact: object) -> Optional[np.ndarray]:
 def _grid_task(payload: Dict) -> Dict:
     """Worker body: build one candidate, evaluate it, strip it down.
 
-    Runs under any executor backend; the build/evaluate callables ride
+    Runs inline or in a pool worker; the build/evaluate callables ride
     in the executor ``state`` (inherited memory under fork, pickled
     under spawn).  The artifact itself is only shipped back when the
     caller asked to keep it — for large grids the fitted model stays
@@ -342,9 +330,6 @@ class GridSearch:
         Candidate fits run on this many worker processes (``None``/1
         serial, ``-1`` per CPU).  The selected candidate, scores and
         fitted parameters are identical for any value.
-    backend:
-        ``"process"`` (default), ``"thread"``, or ``"serial"`` — see
-        :mod:`repro.core.executor`.
     strategy:
         ``"exhaustive"`` (every grid point at full budget) or
         ``"halving"`` (successive halving, 3-4x fewer fit-iterations
@@ -366,12 +351,6 @@ class GridSearch:
         Mapping of name -> ndarray broadcast zero-copy to worker
         processes; builds read it via
         :func:`repro.core.executor.get_shared`.
-    pool:
-        ``"per-call"`` (default) spawns a private worker pool for this
-        search; ``"session"`` borrows the persistent broker pool and
-        the shm arena cache, so consecutive searches (and the refit
-        that follows) skip the spawn and re-broadcast cost.  Selected
-        candidates, scores and thetas are identical either way.
     """
 
     def __init__(
@@ -381,22 +360,16 @@ class GridSearch:
         grid: Optional[Iterable[Dict]] = None,
         *,
         n_jobs: Optional[int] = None,
-        backend: str = "process",
         strategy: str = "exhaustive",
         halving: Optional[HalvingConfig] = None,
         keep_artifacts: bool = True,
         summarize: Optional[Callable[[object], Dict]] = None,
         theta_of: Optional[Callable[[object], Optional[np.ndarray]]] = _default_theta_of,
         shared: Optional[Dict[str, np.ndarray]] = None,
-        pool: str = "per-call",
     ):
         if strategy not in TUNING_STRATEGIES:
             raise ValidationError(
                 f"strategy must be one of {TUNING_STRATEGIES}, got {strategy!r}"
-            )
-        if pool not in POOL_MODES:
-            raise ValidationError(
-                f"pool must be one of {POOL_MODES}, got {pool!r}"
             )
         self.build = build
         self.evaluate = evaluate
@@ -404,14 +377,12 @@ class GridSearch:
         if not self.grid:
             raise ValidationError("hyper-parameter grid must not be empty")
         self.n_jobs = n_jobs
-        self.backend = backend
         self.strategy = strategy
         self.halving = halving or HalvingConfig()
         self.keep_artifacts = bool(keep_artifacts)
         self.summarize = summarize
         self.theta_of = theta_of
         self.shared = shared
-        self.pool = pool
 
     # ------------------------------------------------------------------
 
@@ -431,10 +402,8 @@ class GridSearch:
             _grid_task,
             # A pool wider than the grid would spawn idle workers.
             effective_n_jobs(self.n_jobs, limit=len(self.grid)),
-            backend=self.backend,
             state=state,
             shared=self.shared,
-            pool=self.pool,
         ) as executor:
             if (
                 self.strategy == "halving"
@@ -459,7 +428,7 @@ class GridSearch:
         the rebuild runs inside a one-shot serial executor carrying
         the same state and shared arrays the search workers saw — a
         bare ``self.build(params)`` call would find an empty context
-        (and, for the process backend, unlinked segments).
+        (and, after a pooled search, unlinked segments).
         """
         state = {
             "build": self.build,
@@ -472,7 +441,6 @@ class GridSearch:
             None,
             state=state,
             shared=self.shared,
-            pool=self.pool,
         ) as executor:
             return executor.map([dict(params)])[0]
 

@@ -299,7 +299,6 @@ def run_classification(
             keep_artifacts=False,
             summarize=_candidate_summarize,
             shared=shared,
-            pool=config.tune_pool,
         )
         for candidate in search.run().candidates:
             report.candidates.append(

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from repro.core.executor import POOL_MODES, effective_n_jobs
+from repro.core.executor import effective_n_jobs
 from repro.core.objective import PAIR_MODES
 from repro.core.tuning import (
     MIXTURE_GRID,
@@ -56,12 +56,6 @@ class ExperimentConfig:
         ``"halving"`` (successive halving over the same grid — 2-4x
         fewer fit-iterations; selection validated against exhaustive
         on seeded configs, see :mod:`repro.core.tuning`).
-    tune_pool:
-        ``"per-call"`` (default) or ``"session"`` — whether tuning
-        searches spawn a private worker pool each or borrow the
-        persistent broker pool (and shm arena cache); results are
-        bitwise identical, session amortises the spawn/broadcast cost
-        across the per-method searches of one experiment.
     tune_promote:
         Halving rung promotion: ``"rank"`` (default, observed
         low-budget scores) or ``"extrapolate"`` (predicted full-budget
@@ -99,7 +93,6 @@ class ExperimentConfig:
     pair_mode: str = "auto"
     tune_jobs: Optional[int] = None
     tune_strategy: str = "exhaustive"
-    tune_pool: str = "per-call"
     tune_promote: str = "rank"
     consistency_k: int = 10
     l2: float = 1.0
@@ -127,8 +120,6 @@ class ExperimentConfig:
             raise ValidationError(
                 f"tune_strategy must be one of {TUNING_STRATEGIES}"
             )
-        if self.tune_pool not in POOL_MODES:
-            raise ValidationError(f"tune_pool must be one of {POOL_MODES}")
         if self.tune_promote not in PROMOTE_MODES:
             raise ValidationError(
                 f"tune_promote must be one of {PROMOTE_MODES}"

@@ -256,7 +256,6 @@ def run_ranking(
             keep_artifacts=False,
             summarize=_ranking_summary,
             theta_of=None,
-            pool=config.tune_pool,
         )
         best = search.run().best(TuningCriterion.OPTIMAL)
         report.rows.append(

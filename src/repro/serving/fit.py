@@ -95,7 +95,6 @@ def _tune_mixtures(
     tune_jobs: Optional[int],
     tune_strategy: str,
     tune_promote: str,
-    pool: str,
     random_state: int,
 ) -> Dict:
     """Select (lambda_util, mu_fair) on a held-out validation split."""
@@ -125,7 +124,6 @@ def _tune_mixtures(
         strategy=tune_strategy,
         halving=HalvingConfig(promote=tune_promote),
         keep_artifacts=False,
-        pool=pool,
         shared={
             "X": X,
             "y": y,
@@ -151,7 +149,6 @@ def fit_serving_pipeline(
     criterion: str = "parity",
     scorer_l2: float = 1.0,
     n_jobs: Optional[int] = None,
-    pool: str = "per-call",
     tune: bool = False,
     tune_criterion: str = "optimal",
     tune_jobs: Optional[int] = None,
@@ -171,12 +168,9 @@ def fit_serving_pipeline(
     ``n_jobs`` runs the fit's restarts on worker processes; ``tune``
     grid-searches the mixture coefficients first (see module
     docstring), overriding ``lambda_util``/``mu_fair`` with the
-    winner before the final full-data fit.  ``pool="session"`` runs
-    both the search and the final fit on the persistent broker pool:
-    the refit reuses the already-broadcast matrix through the shm
-    arena cache instead of re-publishing it, with the same results as
-    ``"per-call"``.  ``tune_promote="extrapolate"`` switches halving
-    rung promotion to learning-curve extrapolation.
+    winner before the final full-data fit.  ``tune_promote=
+    "extrapolate"`` switches halving rung promotion to learning-curve
+    extrapolation.
 
     The whole pipeline runs at one BLAS thread (:mod:`repro.utils.blas`).
     """
@@ -194,7 +188,6 @@ def fit_serving_pipeline(
         "max_pairs": max_pairs,
         "pair_mode": pair_mode,
         "n_jobs": n_jobs,
-        "pool": pool,
         "random_state": random_state,
     }
     tracer = get_tracer()
@@ -220,7 +213,6 @@ def fit_serving_pipeline(
                     tune_jobs=tune_jobs,
                     tune_strategy=tune_strategy,
                     tune_promote=tune_promote,
-                    pool=pool,
                     random_state=random_state,
                 )
             model_params.update(tuned_params)

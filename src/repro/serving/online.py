@@ -435,7 +435,6 @@ class OnlineController:
             n_restarts=self.policy.refit_restarts,
             max_iter=self.policy.refit_max_iter,
             n_jobs=None,
-            pool="per-call",
             warm_start_theta=None,
         )
         model = IFair(**params)

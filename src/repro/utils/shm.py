@@ -12,16 +12,17 @@ workers map the same pages read-only.
 :class:`SharedArrayHandle` descriptors.  Both ends are context
 managers so segments are released even when a fit raises — leaked
 ``/dev/shm`` entries are a test-enforced bug
-(``tests/unit/test_shm.py``).
+(``tests/unit/test_shm.py``).  Every executor owns its broadcast and
+unlinks it when it shuts down.
 
-On top of the one-owner primitives sits the **arena**
+The serving dispatcher (:mod:`repro.serving.dispatcher`) publishes
+model artifacts to its engine workers through the **arena**
 (:class:`ShmArena`, reachable through the process-wide :func:`arena`
 singleton): a content-addressed, reference-counted cache of published
-arrays used by session worker pools.  Publishing the same bytes twice
-— a training matrix broadcast for tuning and again for the subsequent
-refit — returns the *existing* segment instead of re-copying it, and
-releasing a lease keeps the segment cached (warm) until the cache is
-reaped with the idle session pools or cleared at interpreter exit.
+arrays.  Publishing the same bytes twice — a blue/green reload of an
+unchanged artifact — returns the *existing* segment instead of
+re-copying it, and releasing a lease keeps the segment cached until
+the dispatcher reaps the cache on stop or the interpreter exits.
 """
 
 from __future__ import annotations
@@ -202,7 +203,7 @@ class ArenaLease:
 
     ``handles`` maps the caller's array keys to picklable
     :class:`SharedArrayHandle` descriptors, exactly like
-    ``SharedArrays.handles`` — executors ship them to workers
+    ``SharedArrays.handles`` — the dispatcher ships them to workers
     unchanged.  Releasing does **not** unlink: the segments stay
     cached so the next publisher of the same bytes gets a warm hit.
     """
@@ -237,16 +238,16 @@ def _array_digest(array: np.ndarray) -> str:
 class ShmArena:
     """Content-addressed, refcounted cache of shared-array broadcasts.
 
-    The session-pool counterpart of :class:`SharedArrays`: callers
+    The cached counterpart of :class:`SharedArrays`: callers
     :meth:`publish` a mapping of arrays and get an :class:`ArenaLease`
     whose handles workers attach to.  Arrays are keyed by a digest of
-    their bytes, so publishing the same matrix twice (tuning, then the
-    refit of the winner) costs one hash instead of a second copy.
+    their bytes, so publishing the same artifact twice (a reload of
+    unchanged weights) costs one hash instead of a second copy.
     Releasing a lease decrements refcounts but keeps segments cached;
-    :meth:`reap` unlinks the refcount-free ones (the broker calls it
-    when the last session pool idles out) and :meth:`clear` unlinks
-    everything (atexit, tests).  Fork-inherited state is forgotten in
-    children — the parent keeps the unlink duty.
+    :meth:`reap` unlinks the refcount-free ones (the dispatcher calls
+    it when it stops) and :meth:`clear` unlinks everything (atexit,
+    tests).  Fork-inherited state is forgotten in children — the
+    parent keeps the unlink duty.
     """
 
     def __init__(self):

@@ -50,6 +50,7 @@ import json, multiprocessing, os, sys, urllib.request
 from repro.serving import (
     HTTPClient, InferenceEngine, InProcessClient, load_artifact, serve_artifact,
 )
+import repro.api
 import repro.cli
 
 path, records, groups = sys.argv[1], json.loads(sys.argv[2]), json.loads(sys.argv[3])
@@ -174,7 +175,7 @@ def solver_loaded(_):
 before = "scipy.optimize" in sys.modules
 print(json.dumps({
     "before": before,
-    "workers": run_tasks(solver_loaded, [0, 1], n_jobs=2, backend="process"),
+    "workers": run_tasks(solver_loaded, [0, 1], n_jobs=2),
 }))
 """
 

@@ -5,19 +5,18 @@ registries and ship per-task deltas back over their result pipes; the
 parent folds them into :func:`repro.telemetry.metrics.get_registry`.
 If that reduction is correct, the parent's deterministic counters after
 a fit cannot depend on how the restarts were scheduled — a serial fit
-and an ``n_jobs=2`` session-pool fit must agree exactly.
+and an ``n_jobs=2`` process-pool fit must agree exactly.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.executor import shutdown_session_pools
 from repro.core.model import IFair
 from repro.telemetry.metrics import get_registry, snapshot_diff
 from repro.utils.shm import leaked_segments
 
 #: Counters whose totals are pure functions of the fit configuration,
-#: independent of backend and task scheduling.
+#: independent of where and in which order the restarts ran.
 INVARIANT_COUNTERS = (
     "fit_total",
     "fit_restarts_total",
@@ -26,10 +25,8 @@ INVARIANT_COUNTERS = (
 
 
 @pytest.fixture(autouse=True)
-def _clean_session_state():
-    shutdown_session_pools()
+def _no_leaked_segments():
     yield
-    shutdown_session_pools()
     assert leaked_segments() == []
 
 
@@ -53,7 +50,7 @@ def _fit_counters(X, **kwargs):
 def test_serial_and_process_fits_agree_on_deterministic_counters():
     X = _make_data()
     serial_model, serial = _fit_counters(X)
-    pool_model, pooled = _fit_counters(X, n_jobs=2, pool="session")
+    pool_model, pooled = _fit_counters(X, n_jobs=2)
 
     # the models themselves are bitwise identical (existing guarantee) —
     # so any counter disagreement is a telemetry bug, not a fit bug
@@ -69,42 +66,22 @@ def test_serial_and_process_fits_agree_on_deterministic_counters():
     assert pooled["fit_restarts_total"] == 4.0
 
     # per-restart work reaches the parent only through shipped deltas
-    # under the process backend; the tasks themselves are counted
+    # from pool workers; the tasks themselves are counted
     # parent-side, once per payload
     assert "executor_tasks_total" not in serial
     assert pooled["executor_tasks_total"] == 4.0
     assert pooled["executor_maps_total"] == 1.0
 
-    # oracle builds + memo hits account for every restart's oracle:
-    # serial builds once and shares it; each cold worker builds its own
+    # serial builds the oracle once and shares it; each worker builds its own
     assert serial["fit_oracle_builds_total"] == 1.0
     assert pooled["fit_oracle_builds_total"] == 2.0
-    assert "fit_oracle_memo_hits_total" not in pooled  # cold workers
-
-
-def test_warm_session_refit_counters_are_deterministic():
-    X = _make_data()
-    _fit_counters(X, n_jobs=2, pool="session")  # warm the pool + arena
-
-    _, second = _fit_counters(X, n_jobs=2, pool="session")
-    _, third = _fit_counters(X, n_jobs=2, pool="session")
-
-    # identical warm refits produce identical counter deltas
-    assert second == third
-
-    # both workers reuse the memoised oracle instead of rebuilding
-    assert second["fit_oracle_memo_hits_total"] == 2.0
-    assert "fit_oracle_builds_total" not in second
-    # the broadcast matrix is served from the arena cache
-    assert second["shm_arena_hits_total"] == 1.0
-    assert "shm_arena_misses_total" not in second
 
 
 def test_worker_counters_actually_cross_the_pipe():
-    # fit_restarts_total increments inside _run_restart, which under the
-    # process backend only ever executes in worker processes: seeing it
+    # fit_restarts_total increments inside _run_restart, which in a
+    # pooled fit only ever executes in worker processes: seeing it
     # in the parent registry proves the delta-shipping path end to end.
     X = _make_data(seed=1)
-    _, pooled = _fit_counters(X, n_jobs=2, pool="session")
+    _, pooled = _fit_counters(X, n_jobs=2)
     assert pooled["fit_restarts_total"] == 4.0
     assert pooled["fit_lbfgs_iterations_total"] > 0

@@ -338,139 +338,3 @@ class TestHalvingAgreement:
         ]
         for a, b in zip(serial.candidates, parallel.candidates):
             assert a.utility == b.utility and a.fairness == b.fairness
-
-
-class TestSessionPoolParity:
-    """Session pools must be a pure perf knob — results bitwise equal."""
-
-    @pytest.fixture(autouse=True)
-    def _clean_session_state(self):
-        from repro.core.executor import shutdown_session_pools
-
-        shutdown_session_pools()
-        yield
-        shutdown_session_pools()
-        assert leaked_segments() == []
-
-    def test_grid_search_session_vs_per_call_bitwise(self, tuning_problem):
-        per_call = _search(tuning_problem, n_jobs=2)
-        session = _search(tuning_problem, n_jobs=2, pool="session")
-        for a, b in zip(per_call.candidates, session.candidates):
-            assert a.order == b.order
-            assert a.utility == b.utility
-            assert a.fairness == b.fairness
-            assert np.array_equal(a.theta, b.theta)
-        for criterion in TuningCriterion:
-            assert (
-                per_call.best(criterion).params == session.best(criterion).params
-            )
-
-    def test_consecutive_session_searches_share_workers(self, tuning_problem):
-        from repro.core.executor import PoolBroker
-
-        _search(tuning_problem, n_jobs=2, pool="session")
-        pids_first = PoolBroker.instance().lease(2).pool.worker_pids()
-        PoolBroker.instance()._release(2)
-        _search(tuning_problem, n_jobs=2, pool="session")
-        pids_second = PoolBroker.instance().lease(2).pool.worker_pids()
-        PoolBroker.instance()._release(2)
-        assert pids_first == pids_second
-
-    def test_ifair_fit_session_vs_per_call_bitwise(self, tuning_problem):
-        spec, shared, _ = tuning_problem
-
-        def fit(pool):
-            return IFair(
-                n_prototypes=4,
-                n_restarts=3,
-                max_iter=20,
-                max_pairs=400,
-                n_jobs=2,
-                pool=pool,
-                random_state=7,
-            ).fit(shared["X"], spec["protected"])
-
-        per_call, warm_a, warm_b = fit("per-call"), fit("session"), fit("session")
-        assert np.array_equal(per_call.theta_, warm_a.theta_)
-        assert np.array_equal(per_call.theta_, warm_b.theta_)
-        assert per_call.loss_ == warm_a.loss_ == warm_b.loss_
-
-    def test_refit_reuses_tuning_broadcast(self, tuning_problem):
-        # The arena must serve the fit of the selected candidate from
-        # the segment the search already published (cache hit, no
-        # second copy of X).
-        from repro.utils.shm import arena
-
-        spec, shared, _ = tuning_problem
-        _search(tuning_problem, n_jobs=2, pool="session")
-        before = arena().stats()
-        IFair(
-            n_prototypes=4,
-            n_restarts=2,
-            max_iter=10,
-            max_pairs=300,
-            n_jobs=2,
-            pool="session",
-            random_state=0,
-        ).fit(shared["X"], spec["protected"])
-        after = arena().stats()
-        assert after["hits"] > before["hits"]
-        assert after["entries"] == before["entries"]
-
-    def test_halving_session_matches_halving_per_call(self, tuning_problem):
-        per_call = _search(
-            tuning_problem,
-            n_jobs=2,
-            strategy="halving",
-            halving=HalvingConfig(n_rungs=3, promote_fraction=0.25),
-        )
-        session = _search(
-            tuning_problem,
-            n_jobs=2,
-            strategy="halving",
-            pool="session",
-            halving=HalvingConfig(n_rungs=3, promote_fraction=0.25),
-        )
-        assert [c.order for c in per_call.candidates] == [
-            c.order for c in session.candidates
-        ]
-        for a, b in zip(per_call.candidates, session.candidates):
-            assert a.utility == b.utility and a.fairness == b.fairness
-            assert np.array_equal(a.theta, b.theta)
-
-
-class TestServingSessionParity:
-    """fit_serving_pipeline(pool="session"): tune + refit on one pool."""
-
-    @pytest.fixture(autouse=True)
-    def _clean_session_state(self):
-        from repro.core.executor import shutdown_session_pools
-
-        shutdown_session_pools()
-        yield
-        shutdown_session_pools()
-        assert leaked_segments() == []
-
-    def test_tuned_artifact_bitwise_equal_and_refit_warm(self):
-        from repro.data.census import generate_census
-        from repro.serving.fit import fit_serving_pipeline
-        from repro.utils.shm import arena
-
-        dataset = generate_census(80, random_state=3)
-        kwargs = dict(
-            n_prototypes=4,
-            n_restarts=2,
-            max_iter=20,
-            tune=True,
-            tune_jobs=2,
-            n_jobs=2,
-            tune_strategy="halving",
-            random_state=3,
-        )
-        per_call = fit_serving_pipeline(dataset, **kwargs)
-        session = fit_serving_pipeline(dataset, pool="session", **kwargs)
-        assert np.array_equal(per_call.model.theta_, session.model.theta_)
-        assert per_call.metadata["tuned"] == session.metadata["tuned"]
-        # The final full-data fit reused the matrix the tuning search
-        # had already broadcast (arena hit), instead of re-publishing.
-        assert arena().stats()["hits"] >= 1

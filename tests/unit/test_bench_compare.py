@@ -47,7 +47,6 @@ class TestCompareToBaseline:
         "fit_M400_N20_K8_r2_s": 0.050,
         "serving_transform_1rec_p99_s": 1e-4,
         "halving_agree_optimal": True,
-        "fit_warm_pool_parity": True,
     }
 
     def test_equal_entry_passes(self, run_bench):
@@ -71,11 +70,6 @@ class TestCompareToBaseline:
         entry = dict(self.BASE, halving_agree_optimal=False)
         violations = run_bench.compare_to_baseline(entry, _doc(self.BASE), 100.0)
         assert violations and "halving_agree_optimal" in violations[0]
-
-    def test_warm_pool_parity_flip_fails(self, run_bench):
-        entry = dict(self.BASE, fit_warm_pool_parity=False)
-        violations = run_bench.compare_to_baseline(entry, _doc(self.BASE), 10.0)
-        assert violations and "fit_warm_pool_parity" in violations[0]
 
     def test_metrics_missing_on_either_side_are_skipped(self, run_bench):
         entry = {"fit_M400_N20_K8_r2_s": 9.9}
@@ -169,7 +163,7 @@ class TestScalingEntry:
         monkeypatch.setattr(
             run_bench,
             "_run_tune_mode",
-            lambda grid, spec, shared, n_jobs, strategy, pool="per-call": (
+            lambda grid, spec, shared, n_jobs, strategy: (
                 next(timings),
                 None,
             ),

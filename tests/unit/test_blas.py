@@ -8,11 +8,11 @@
   use) runs at the innermost scope's count and gets its own count back
   when the last scope closes; one mapped outside every scope keeps its
   count;
-* executor tasks run at one thread on every backend, and a fit and the
-  serving pipeline run at one thread and leave their caller's count as
-  they found it;
-* a fit's result is bitwise equal between ``n_jobs=1`` and a session
-  process pool, at a census-sized and at a large shape.
+* executor tasks run at one thread inline and in pool workers, and a
+  fit and the serving pipeline run at one thread and leave their
+  caller's count as they found it;
+* a fit's result is bitwise equal between ``n_jobs=1`` and a process
+  pool, at a census-sized and at a large shape.
 """
 
 import random
@@ -22,7 +22,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.executor import run_tasks, shutdown_session_pools
+from repro.core.executor import run_tasks
 from repro.core.model import IFair
 from repro.exceptions import ValidationError
 from repro.utils import blas
@@ -42,10 +42,8 @@ def _task_counts(payload):
 
 
 @pytest.fixture
-def clean_pools():
-    shutdown_session_pools()
+def no_leaked_segments():
     yield
-    shutdown_session_pools()
     assert leaked_segments() == []
 
 
@@ -223,21 +221,11 @@ class TestAdoption:
 
 
 class TestWorkersAndFits:
-    @pytest.mark.parametrize(
-        "backend, pool",
-        [
-            ("process", "per-call"),
-            ("process", "session"),
-            ("thread", "per-call"),
-            ("serial", "per-call"),
-        ],
-    )
-    def test_executor_task_reports_one_thread(self, backend, pool, clean_pools):
+    @pytest.mark.parametrize("backend", ["process", "serial"])
+    def test_executor_task_reports_one_thread(self, backend, no_leaked_segments):
         n_jobs = 1 if backend == "serial" else 2
         with blas.limit(3):
-            counts = run_tasks(
-                _task_counts, [0, 1, 2], n_jobs=n_jobs, backend=backend, pool=pool
-            )
+            counts = run_tasks(_task_counts, [0, 1, 2], n_jobs=n_jobs)
             assert _counts_are(3)
         for task in counts:
             assert task and set(task.values()) == {1}
@@ -290,7 +278,7 @@ SHAPES = pytest.mark.parametrize(
 
 
 @SHAPES
-def test_fit_bitwise_equal_across_n_jobs(m, n, k, max_iter, clean_pools):
+def test_fit_bitwise_equal_across_n_jobs(m, n, k, max_iter, no_leaked_segments):
     X = np.random.default_rng(5).normal(size=(m, n))
 
     def fit(n_jobs):
@@ -300,7 +288,6 @@ def test_fit_bitwise_equal_across_n_jobs(m, n, k, max_iter, clean_pools):
             n_restarts=2,
             max_iter=max_iter,
             n_jobs=n_jobs,
-            pool="session",
             random_state=3,
         ).fit(X, [n - 1])
 

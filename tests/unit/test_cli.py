@@ -209,21 +209,19 @@ class TestPairModeFlags:
             assert "unrecognized arguments" in capsys.readouterr().err
 
 
-class TestPoolFlags:
+class TestTuningFlags:
     def test_defaults(self):
         args = build_parser().parse_args(["run", "table2"])
-        assert args.pool == "per-call"
+        assert args.tune_strategy == "exhaustive"
         assert args.tune_promote == "rank"
 
-    def test_run_session_pool_reaches_the_config(self):
+    def test_run_tuning_flags_reach_the_config(self):
         from repro.cli import _config
 
         args = build_parser().parse_args(
             [
                 "run",
                 "table2",
-                "--pool",
-                "session",
                 "--tune-strategy",
                 "halving",
                 "--tune-promote",
@@ -231,7 +229,6 @@ class TestPoolFlags:
             ]
         )
         config = _config(args)
-        assert config.tune_pool == "session"
         assert config.tune_strategy == "halving"
         assert config.tune_promote == "extrapolate"
 
@@ -239,22 +236,26 @@ class TestPoolFlags:
         from repro.cli import _config
 
         config = _config(build_parser().parse_args(["run", "table2"]))
-        assert config.tune_pool == "per-call"
+        assert config.tune_strategy == "exhaustive"
         assert config.tune_promote == "rank"
 
-    def test_invalid_pool_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "table2", "--pool", "hourly"])
+    def test_pool_flag_is_gone(self, capsys, tmp_path):
+        """Every pool lives as long as its parallel section: no knob."""
+        for argv in (
+            ["run", "table2", "--pool", "session"],
+            ["fit-save", "credit", "--out", str(tmp_path / "a"), "--pool", "per-call"],
+        ):
+            with pytest.raises(SystemExit):
+                main(argv)
+            assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_fit_save_accepts_pool_flags(self):
+    def test_fit_save_accepts_tuning_flags(self):
         args = build_parser().parse_args(
             [
                 "fit-save",
                 "compas",
                 "--out",
                 "x",
-                "--pool",
-                "session",
                 "--tune",
                 "--tune-strategy",
                 "halving",
@@ -262,5 +263,5 @@ class TestPoolFlags:
                 "extrapolate",
             ]
         )
-        assert args.pool == "session"
+        assert args.tune and args.tune_strategy == "halving"
         assert args.tune_promote == "extrapolate"

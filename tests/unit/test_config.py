@@ -80,19 +80,15 @@ class TestPairModeConfig:
             ExperimentConfig(pair_mode="landmark")
 
 
-class TestPoolAndPromoteConfig:
+class TestPromoteConfig:
     def test_defaults(self):
         config = ExperimentConfig.fast()
-        assert config.tune_pool == "per-call"
         assert config.tune_promote == "rank"
 
-    def test_session_pool_and_extrapolate_accepted(self):
-        config = ExperimentConfig(tune_pool="session", tune_promote="extrapolate")
-        assert config.tune_pool == "session"
+    def test_extrapolate_accepted(self):
+        config = ExperimentConfig(tune_promote="extrapolate")
         assert config.tune_promote == "extrapolate"
 
     def test_invalid_values_rejected(self):
-        with pytest.raises(ValidationError):
-            ExperimentConfig(tune_pool="hourly")
         with pytest.raises(ValidationError):
             ExperimentConfig(tune_promote="psychic")

@@ -1,17 +1,18 @@
 """Tests for repro.core.executor."""
 
 import os
-import tempfile
 
 import numpy as np
 import pytest
 
 from repro.core.executor import (
-    EXECUTOR_BACKENDS,
     ParallelExecutor,
     TaskError,
     WorkerCrashError,
+    WorkerPool,
+    _WireConfig,
     effective_n_jobs,
+    get_config_token,
     get_shared,
     get_state,
     in_worker,
@@ -19,7 +20,7 @@ from repro.core.executor import (
 )
 from repro.exceptions import ValidationError
 from repro.telemetry.metrics import get_registry
-from repro.utils.shm import leaked_segments
+from repro.utils.shm import SEGMENT_PREFIX, SharedArrayHandle, leaked_segments
 
 
 def _double(payload):
@@ -38,6 +39,10 @@ def _raise_on_two(payload):
 
 def _crash(payload):
     os._exit(17)
+
+
+def _pid(payload):
+    return os.getpid()
 
 
 class TestEffectiveNJobs:
@@ -62,36 +67,36 @@ class TestEffectiveNJobs:
             effective_n_jobs(bad)
 
 
+#: ``n_jobs`` alone picks the path: 1 runs inline, 2 on a process pool.
+BACKENDS = {"serial": 1, "process": 2}
+
+
 class TestBackends:
-    @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_map_preserves_order(self, backend):
-        out = run_tasks(_double, list(range(7)), n_jobs=2, backend=backend)
+        out = run_tasks(_double, list(range(7)), n_jobs=BACKENDS[backend])
         assert out == [0, 2, 4, 6, 8, 10, 12]
 
-    @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_state_and_shared_reach_tasks(self, backend):
         X = np.arange(12, dtype=np.float64).reshape(3, 4)
         out = run_tasks(
             _shared_row_sum,
             [0, 1, 2],
-            n_jobs=2,
-            backend=backend,
+            n_jobs=BACKENDS[backend],
             state={"scale": 2.0},
             shared={"X": X},
         )
         assert out == [12.0, 44.0, 76.0]
 
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(ValidationError):
-            ParallelExecutor(_double, 2, backend="greenlet")
-
     def test_empty_payloads(self):
         assert run_tasks(_double, [], n_jobs=2) == []
 
     def test_n_jobs_one_runs_inline(self):
-        executor = ParallelExecutor(_double, 1, backend="process")
-        assert executor.backend == "serial"
-        assert executor.map([1, 2]) == [2, 4]
+        executor = ParallelExecutor(_pid, 1)
+        assert executor.n_jobs == 1
+        assert executor.map([1, 2]) == [os.getpid()] * 2
+        assert executor._pool is None
 
     def test_closures_work_under_fork(self):
         captured = np.array([10.0, 20.0])
@@ -105,11 +110,6 @@ class TestWorkerFlags:
 
     def test_process_tasks_see_worker_flag(self):
         assert run_tasks(lambda _: in_worker(), [0], n_jobs=2) == [True]
-
-    def test_thread_tasks_see_worker_flag(self):
-        assert run_tasks(lambda _: in_worker(), [0], n_jobs=2, backend="thread") == [
-            True
-        ]
 
     def test_serial_map_leaves_flag_down(self):
         # A serial search over parallel fits is legitimate; only real
@@ -194,6 +194,58 @@ class TestSharedMemoryLifecycle:
         X = np.ones((4, 4))
         with pytest.raises(WorkerCrashError):
             run_tasks(_crash, [0], n_jobs=2, max_retries=0, shared={"X": X})
+        assert leaked_segments() == []
+
+
+class TestPoolLifetime:
+    def test_consecutive_executors_spawn_fresh_pools(self):
+        first = set(run_tasks(_pid, range(4), n_jobs=2))
+        second = set(run_tasks(_pid, range(4), n_jobs=2))
+        assert first.isdisjoint(second)
+
+    def test_config_tokens_differ_per_executor(self):
+        # The worker-side fit cache is keyed by this token: it must
+        # not collide between executors, inline or pooled.
+        tokens = [
+            run_tasks(lambda _: get_config_token(), [0], n_jobs=n_jobs)[0]
+            for n_jobs in (1, 1, 2, 2)
+        ]
+        assert None not in tokens
+        assert len(set(tokens)) == 4
+
+    def test_empty_pool_rejected(self):
+        with pytest.raises(ValidationError):
+            WorkerPool(0, _WireConfig(token=0, fn=_pid))
+
+
+class TestConfigInstall:
+    def test_config_install_failure_surfaces_as_task_error(self):
+        # A broadcast segment that is gone before the workers attach:
+        # tasks must answer with the install error, not kill the worker.
+        gone = SharedArrayHandle(f"{SEGMENT_PREFIX}gone_{os.getpid()}", (2,), "<f8")
+        pool = WorkerPool(2, _WireConfig(token=0, fn=_pid, shared={"X": gone}))
+        try:
+            with pytest.raises(TaskError, match="config install failed"):
+                pool.run([0, 1], max_retries=0)
+            # The same (still alive) workers keep answering.
+            with pytest.raises(TaskError, match="config install failed"):
+                pool.run([2], max_retries=0)
+            assert all(process.is_alive() for process in pool._workers)
+        finally:
+            pool.shutdown()
+
+
+class TestStartFailureHygiene:
+    def test_failed_broadcast_leaves_nothing_behind(self):
+        executor = ParallelExecutor(_pid, 2, shared={"X": np.empty((0, 3))})
+        with pytest.raises(ValidationError, match="must not be empty"):
+            executor.start()
+        # Nothing held: no workers, no segments, restartable.
+        assert executor._pool is None
+        assert leaked_segments() == []
+        executor._shared_input = {"X": np.ones((2, 3))}
+        assert len(executor.map([0, 1])) == 2  # restartable after fix-up
+        executor.shutdown()
         assert leaked_segments() == []
 
 

@@ -185,31 +185,6 @@ class TestParallelRestarts:
         assert len(model.restarts_) == 2
 
 
-class TestOracleCacheKey:
-    """The worker oracle memo's key: broadcast segment + oracle params."""
-
-    @staticmethod
-    def _key(monkeypatch, name="seg-a", **params):
-        handle = SimpleNamespace(name=name)
-        monkeypatch.setattr(
-            model_module, "get_shared_handles", lambda: {"X": handle}
-        )
-        state = {"params": IFair(**params).get_params(), "protected": [5]}
-        return model_module._oracle_cache_key(state)
-
-    def test_key_tracks_segment_and_oracle_params(self, monkeypatch):
-        base = self._key(monkeypatch)
-        assert self._key(monkeypatch, name="seg-b") != base
-        assert self._key(monkeypatch, mu_fair=2.0) != base
-        # Optimisation knobs search over the oracle; they do not change it.
-        assert self._key(monkeypatch, max_iter=7, n_restarts=1) == base
-
-    def test_no_broadcast_disables_caching(self, monkeypatch):
-        monkeypatch.setattr(model_module, "get_shared_handles", lambda: {})
-        state = {"params": IFair().get_params(), "protected": [5]}
-        assert model_module._oracle_cache_key(state) is None
-
-
 class TestWarmStart:
     def test_theta_roundtrip(self, data):
         model = _fit(data)

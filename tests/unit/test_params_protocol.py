@@ -36,7 +36,6 @@ IFAIR_PARAM_KEYS = [
     "max_pairs",
     "pair_mode",
     "n_jobs",
-    "pool",
     "warm_start_theta",
     "random_state",
 ]

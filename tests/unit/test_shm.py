@@ -1,5 +1,6 @@
 """Tests for repro.utils.shm."""
 
+import os
 import pickle
 
 import numpy as np
@@ -9,6 +10,7 @@ from repro.exceptions import ValidationError
 from repro.utils.shm import (
     SEGMENT_PREFIX,
     SharedArrays,
+    arena,
     attach,
     leaked_segments,
 )
@@ -98,3 +100,59 @@ class TestSharedArrays:
             # worker detached; the parent's copy is untouched
             np.testing.assert_array_equal(shm.arrays["X"], arrays["X"])
         assert leaked_segments() == []
+
+
+class TestArenaCache:
+    """The content-addressed cache the serving dispatcher publishes through."""
+
+    @pytest.fixture(autouse=True)
+    def _empty_arena(self):
+        arena().clear()
+        yield
+        arena().clear()
+        assert leaked_segments() == []
+
+    def test_same_bytes_reuse_the_segment(self):
+        X = np.arange(6.0).reshape(2, 3)
+        lease_a = arena().publish({"X": X})
+        lease_b = arena().publish({"X": X.copy()})  # same bytes, new object
+        assert lease_a.handles["X"].name == lease_b.handles["X"].name
+        assert arena().stats()["entries"] == 1
+        lease_a.release()
+        lease_b.release()
+
+    def test_different_bytes_get_different_segments(self):
+        lease_a = arena().publish({"X": np.zeros((2, 2))})
+        lease_b = arena().publish({"X": np.ones((2, 2))})
+        assert lease_a.handles["X"].name != lease_b.handles["X"].name
+        lease_a.release()
+        lease_b.release()
+
+    def test_release_keeps_segment_cached_until_reap(self):
+        lease = arena().publish({"X": np.ones((2, 2))})
+        name = lease.handles["X"].name
+        lease.release()
+        assert name in leaked_segments()  # warm, deliberately alive
+        assert arena().reap() == 1
+        assert name not in leaked_segments()
+
+    def test_reap_spares_leased_segments(self):
+        lease = arena().publish({"X": np.ones((2, 2))})
+        assert arena().reap() == 0
+        lease.release()
+        assert arena().reap() == 1
+
+    def test_empty_publish_rejected(self):
+        with pytest.raises(ValidationError):
+            arena().publish({})
+
+    def test_forked_child_forgets_arena_entries(self):
+        lease = arena().publish({"X": np.ones((3, 3))})
+        pid = os.fork()
+        if pid == 0:  # child: inherited entries are not its to unlink
+            os._exit(0 if arena().stats()["entries"] == 0 else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        # The parent's cache is untouched by the child exit.
+        assert arena().stats()["entries"] == 1
+        lease.release()

@@ -304,13 +304,6 @@ class TestParallelGridSearch:
                 serial.best(criterion).params == parallel.best(criterion).params
             )
 
-    def test_thread_backend(self):
-        grid = [{"x": i} for i in range(4)]
-        result = GridSearch(
-            lambda p: p["x"], lambda x: (x, 1.0), grid, n_jobs=2, backend="thread"
-        ).run()
-        assert [c.utility for c in result.candidates] == [0.0, 1.0, 2.0, 3.0]
-
 
 class TestLandmarkGrid:
     def test_without_landmarks_grid_is_unchanged(self):
