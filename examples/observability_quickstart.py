@@ -14,10 +14,10 @@ Three tours through the telemetry layer on one small served model:
    drift flag, visible in ``/v1/stats`` and in every ``decide``
    response;
 4. **per-worker series** — restart the service with ``workers=2``
-   (forked engine workers sharing the model via shm) and scrape the
-   same ``/v1/metrics`` endpoint: every worker's counters arrive under
-   a ``worker="<i>"`` label, merged into one exposition by the
-   dispatcher, with the unlabelled totals recoverable by summing.
+   (forked engine workers, each with its own copy of the model) and
+   scrape the same ``/v1/metrics`` endpoint: every worker's counters
+   arrive under a ``worker="<i>"`` label, merged into one exposition by
+   the dispatcher, with the unlabelled totals recoverable by summing.
 
 Run:  python examples/observability_quickstart.py
 """
@@ -125,8 +125,8 @@ def main():
         print(f"  decide response carried: {answer['fairness_drift']}")
 
     # --- 4. per-worker series from the multi-process tier --------------
-    # Two forked engine workers attach the same shm-published model;
-    # the scrape pulls each worker's metrics delta to the parent,
+    # Two forked engine workers, each holding the model it was forked
+    # with; the scrape pulls each worker's metrics delta to the parent,
     # which relabels it with worker="<i>" — so one scrape shows who
     # actually served what.
     with tempfile.TemporaryDirectory() as tmp:

@@ -151,24 +151,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="max rows per model evaluation (default 256)",
     )
     serve.add_argument(
-        "--batch-delay-ms",
-        type=float,
-        default=0.0,
-        help=(
-            "micro-batch window in milliseconds: how long the leader "
-            "request waits to coalesce concurrent followers into one "
-            "model pass (applied per engine worker; default 0 adds no "
-            "latency, ~2 trades p50 for throughput under load)"
-        ),
-    )
-    serve.add_argument(
         "--workers",
         type=int,
         default=1,
         help=(
             "engine worker processes (default 1 = single in-process "
-            "engine, simplest to debug); N>=2 forks N workers sharing "
-            "the model read-only via shared memory and enables "
+            "engine, simplest to debug); N>=2 forks N workers, each "
+            "with its own copy of the model, and enables "
             "POST /v1/admin/reload blue/green model swaps"
         ),
     )
@@ -422,7 +411,6 @@ def _cmd_serve(args) -> int:
             host=args.host,
             port=args.port,
             batch_size=args.batch_size,
-            max_batch_delay=args.batch_delay_ms / 1000.0,
             workers=args.workers,
             deadline_s=(args.deadline_ms / 1000.0) if args.deadline_ms > 0 else None,
             max_inflight=args.max_inflight if args.max_inflight > 0 else None,

@@ -555,10 +555,17 @@ class IFair(ParamsMixin):
         batch_size: Optional[int] = None,
         validate: bool = True,
     ) -> np.ndarray:
-        """Apply the learned mapping phi (Definition 3) to records."""
-        return (
-            self.memberships(X, batch_size=batch_size, validate=validate)
-            @ self.prototypes_
+        """Apply the learned mapping phi (Definition 3) to records.
+
+        The product with the prototypes is an ``einsum``, not a BLAS
+        GEMM: its per-row bits depend on that row alone, so chunked
+        evaluation is exactly equal to one-shot and a served record's
+        representation does not depend on the height of its request.
+        """
+        return np.einsum(
+            "mk,kn->mn",
+            self.memberships(X, batch_size=batch_size, validate=validate),
+            self.prototypes_,
         )
 
     def fit_transform(self, X, protected_indices=None) -> np.ndarray:

@@ -75,14 +75,18 @@ class LogisticRegression(Classifier):
         return self
 
     def decision_function(self, X) -> np.ndarray:
-        """Raw linear scores ``X @ w + b``."""
+        """Raw linear scores ``X @ w + b``.
+
+        Computed as an ``einsum`` so each row's score depends on that
+        row alone, whatever the number of rows (BLAS GEMV bits do not).
+        """
         self._check_fitted()
         X = check_matrix(X, "X")
         if X.shape[1] != self.coef_.shape[0]:
             raise ValidationError(
                 f"X has {X.shape[1]} features, model was fitted with {self.coef_.shape[0]}"
             )
-        return X @ self.coef_ + self.intercept_
+        return np.einsum("mk,k->m", X, self.coef_) + self.intercept_
 
     def predict_proba(self, X) -> np.ndarray:
         """P(y=1 | x) for each row."""

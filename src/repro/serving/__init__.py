@@ -8,8 +8,8 @@ chunked evaluation), and exposed either in process
 (:class:`~repro.serving.client.InProcessClient`) or over a stdlib JSON
 HTTP API (:class:`~repro.serving.service.DecisionService`).  For
 multi-core boxes, :class:`~repro.serving.dispatcher.EngineDispatcher`
-fans the same API out to N forked engine workers that share the model
-read-only through the shm arena (``serve_artifact(..., workers=N)``).
+fans the same API out to N forked engine workers, each holding its own
+copy of the artifact (``serve_artifact(..., workers=N)``).
 
 The dispatcher tier is deadline-aware and self-healing: per-request
 deadlines with hung-worker kills and reroute retries, an admission

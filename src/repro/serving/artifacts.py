@@ -126,9 +126,7 @@ def artifact_payload(artifact: ServingArtifact) -> "tuple[Dict, Dict[str, np.nda
     ``arrays_sha256`` digest, which is a property of the serialized npz
     payload and is stamped by :func:`save_artifact`); the arrays dict is
     the float payload half.  ``save_artifact`` writes both to disk, and
-    the serving dispatcher publishes the arrays through the shared-memory
-    arena so N worker processes rebuild the same artifact without ever
-    pickling the model — :func:`assemble_artifact` is the inverse.
+    :func:`assemble_artifact` is the inverse.
     """
     arrays: Dict[str, np.ndarray] = {
         "model.prototypes": artifact.model.prototypes_,
@@ -374,8 +372,7 @@ def assemble_artifact(
 
     Inverse of :func:`artifact_payload`: validates component manifests
     and cross-component shape consistency, then rebuilds the fitted
-    estimator objects.  ``arrays`` may be backed by read-only
-    shared-memory views — nothing here writes into them.  ``checksum``
+    estimator objects.  Nothing here writes into ``arrays``.  ``checksum``
     is recorded verbatim (callers that read from disk pass the verified
     ``arrays_sha256``; in-memory callers may pass ``None``).
     """

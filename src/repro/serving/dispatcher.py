@@ -1,4 +1,4 @@
-"""Multi-process serving tier: shm-backed engine workers, thin routers.
+"""Multi-process serving tier: forked engine workers, thin routers.
 
 One :class:`~repro.serving.engine.InferenceEngine` in one process is
 GIL-bound: ``ThreadingHTTPServer`` accepts concurrent connections, but
@@ -10,11 +10,12 @@ the same ingredients the fit-time executor uses
 * **N forked worker processes**, each owning a full engine (its own
   micro-batcher, metrics registry, and fairness monitor), connected
   to the parent by one duplex pipe each;
-* **shared-memory model broadcast** — the artifact's float arrays are
-  published once through the content-addressed
-  :class:`~repro.utils.shm.ShmArena` and workers attach read-only
-  views, so the model is never pickled per worker and N workers map
-  the same physical pages;
+* **the artifact by value** — a worker receives the parent's loaded
+  :class:`~repro.serving.artifacts.ServingArtifact` in its process
+  arguments (inherited under fork, pickled under spawn), and a reload
+  sends the new one in its ``load`` message.  A whole artifact is
+  about K·N + 4N floats, kilobytes at the served shapes, so a worker
+  simply owns its copy and drops it with its engine;
 * **telemetry pulled on read** — data-plane replies carry only the
   answer.  ``stats``, ``metrics_text`` and ``drift_flags`` (the
   ``/v1/stats`` and ``/v1/metrics`` reads and the online controller's
@@ -54,7 +55,7 @@ workers crash, hang, or corrupt their pipe:
   is evicted for ``evict_probation_s`` (capacity degrades, ``health``
   reports ``degraded``); the probe re-admits it once a respawn proves
   healthy.  All spawns serialise under the admin lock, so a blue/green
-  reload can never race a revival onto a stale artifact spec.
+  reload can never race a revival onto a stale artifact.
 * **Chaos plane** — workers accept a
   :class:`~repro.serving.chaos.ChaosConfig` (or the ``REPRO_CHAOS``
   env spec) and inject crash/hang/slow/corrupt faults at their pipe
@@ -62,13 +63,13 @@ workers crash, hang, or corrupt their pipe:
   it to pin "zero non-shed errors, bitwise-identical answers".
 
 Blue/green model swap: :meth:`EngineDispatcher.reload` loads a new
-artifact directory (checksum-verified by the manifest reader),
-publishes its arrays to the arena, then flips workers **one at a
-time** under each worker's request lock — capacity never drops to
-zero, and holding the lock means the worker's in-flight request on the
-old version completes before it flips.  The old arena lease is
-released only after every worker acknowledged the new version.  Dead
-slots are skipped: the probe respawns them from the post-reload spec.
+artifact directory (checksum-verified by the manifest reader), then
+flips workers **one at a time** under each worker's request lock —
+capacity never drops to zero, and holding the lock means the worker's
+in-flight request on the old version completes before it flips.  Each
+flipped worker builds a fresh engine from the artifact it was sent and
+drops the old engine with its arrays.  Dead slots are skipped: the
+probe respawns them from the post-reload artifact.
 """
 
 from __future__ import annotations
@@ -78,19 +79,13 @@ import pickle
 import random
 import threading
 import time
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.exceptions import ReproError, ValidationError
 from repro.core.executor import _process_context
-from repro.serving.artifacts import (
-    ServingArtifact,
-    artifact_payload,
-    assemble_artifact,
-    load_artifact,
-)
+from repro.serving.artifacts import ServingArtifact, load_artifact
 from repro.serving.chaos import ChaosConfig, ChaosPlane
 from repro.serving.engine import InferenceEngine, serving_endpoints
 from repro.telemetry.logs import get_logger
@@ -115,7 +110,7 @@ _JOIN_TIMEOUT_S = 5.0
 #: forever).
 _FLIP_TIMEOUT_S = 30.0
 #: The probe waits this long for a respawned worker's first ping — it
-#: covers the engine build from the shm spec.
+#: covers the engine build.
 _PING_TIMEOUT_S = 30.0
 #: A telemetry pull waits this long for a busy worker's request lock
 #: before it skips that worker until the next read.
@@ -154,50 +149,6 @@ class AdmissionError(DispatchError):
 
 
 # ----------------------------------------------------------------------
-# wire format
-
-
-@dataclass(frozen=True)
-class _ArtifactSpec:
-    """Picklable recipe a worker rebuilds its engine from.
-
-    ``handles`` point at arena segments (the heavy float payload);
-    ``inline`` carries the zero-size arrays the arena refuses to map
-    (e.g. ``protected_indices`` of an all-numeric pipeline).  The
-    manifest is the JSON half of :func:`artifact_payload`.
-    """
-
-    manifest: Dict
-    handles: Dict
-    inline: Dict = field(default_factory=dict)
-    checksum: Optional[str] = None
-
-
-def _spec_arrays(spec: _ArtifactSpec, attachments: List) -> Dict[str, np.ndarray]:
-    from repro.utils.shm import attach
-
-    arrays: Dict[str, np.ndarray] = dict(spec.inline)
-    if spec.handles:
-        attached = attach(spec.handles)
-        # Keep the mapping alive for the worker's lifetime: the engine
-        # holds views into these pages, and (as in the executor) the
-        # mappings die with the process rather than being torn down
-        # under live views.
-        attachments.append(attached)
-        arrays.update(attached.arrays)
-    return arrays
-
-
-def _build_engine(
-    spec: _ArtifactSpec, engine_kwargs: Dict, attachments: List
-) -> InferenceEngine:
-    artifact = assemble_artifact(
-        spec.manifest, _spec_arrays(spec, attachments), checksum=spec.checksum
-    )
-    return InferenceEngine(artifact, **engine_kwargs)
-
-
-# ----------------------------------------------------------------------
 # worker process
 
 
@@ -220,17 +171,17 @@ def _answer(engine: InferenceEngine, path: str, raw: bytes) -> Tuple[int, bytes]
 
 
 def _serving_worker_main(
-    spec,
-    engine_kwargs,
+    artifact: ServingArtifact,
+    batch_size: int,
     conn,
     index: int = 0,
     chaos: Optional[ChaosConfig] = None,
     generation: int = 0,
 ) -> None:
-    """Engine-worker loop: build from the spec, answer until ``None``.
+    """Engine-worker loop: build the engine, answer until ``None``.
 
     Data-plane replies are ``("http", status, body)``.  ``("ping",)``
-    and ``("load", spec)`` replies are ``(kind, a, b, telemetry)``,
+    and ``("load", artifact)`` replies are ``(kind, a, b, telemetry)``,
     where telemetry is the executor-style ``(metrics_delta, spans)``
     pair (or ``None``) accumulated since the previous such reply.
     Pings are the probe's liveness/readiness check and the parent's
@@ -238,7 +189,6 @@ def _serving_worker_main(
     a :class:`~repro.serving.chaos.ChaosPlane` may crash/hang/slow/
     corrupt data-plane replies — admin messages are never faulted.
     """
-    attachments: List = []
     registry = get_registry()
     tracer = get_tracer()
     # Fork inherits the parent's registry contents and tracer buffer —
@@ -252,7 +202,7 @@ def _serving_worker_main(
     engine: Optional[InferenceEngine] = None
     error: Optional[str] = None
     try:
-        engine = _build_engine(spec, engine_kwargs, attachments)
+        engine = InferenceEngine(artifact, batch_size=batch_size)
     except BaseException as exc:  # surfaced per-request as a 503
         error = f"worker failed to build engine: {exc}"
 
@@ -285,7 +235,7 @@ def _serving_worker_main(
                 continue
             if kind == "load":
                 try:
-                    fresh = _build_engine(message[1], engine_kwargs, attachments)
+                    fresh = InferenceEngine(message[1], batch_size=batch_size)
                 except BaseException as exc:
                     # Old engine keeps serving; the parent aborts the flip.
                     conn.send(
@@ -295,7 +245,8 @@ def _serving_worker_main(
                     continue
                 # Flush the old engine's remaining counters under its
                 # labels, then re-baseline on the fresh registry so the
-                # next delta never goes backwards.
+                # next delta never goes backwards.  Rebinding drops the
+                # old engine and, with it, the old artifact's arrays.
                 final_delta = telemetry_delta()
                 engine, error = fresh, None
                 shipped = combined()
@@ -315,7 +266,6 @@ def _serving_worker_main(
             conn.send(("http", *_answer(engine, path, raw)))
     except (EOFError, OSError, KeyboardInterrupt):  # parent went away
         pass
-    # Shared segments stay mapped until process exit (see _spec_arrays).
 
 
 # ----------------------------------------------------------------------
@@ -360,8 +310,8 @@ class EngineDispatcher:
     verbs), so :class:`~repro.serving.service.DecisionService` and the
     in-process client work unchanged against a multi-process tier.
 
-    Parameters mirror the engine's: ``batch_size`` and
-    ``max_batch_delay`` apply *per worker*.  Resilience knobs:
+    ``batch_size`` is the engine's and applies *per worker*.
+    Resilience knobs:
 
     ``deadline_s``
         per-attempt reply deadline (None = wait forever, the pre-PR 9
@@ -389,7 +339,6 @@ class EngineDispatcher:
         *,
         n_workers: int = 2,
         batch_size: int = 256,
-        max_batch_delay: float = 0.0,
         max_retries: int = 2,
         deadline_s: Optional[float] = None,
         max_inflight: Optional[int] = None,
@@ -433,10 +382,7 @@ class EngineDispatcher:
         self.probe_interval_s = float(probe_interval_s)
         self._deadline_s = None if deadline_s is None else float(deadline_s)
         self._chaos = chaos if chaos is not None else ChaosConfig.from_env()
-        self._engine_kwargs = dict(
-            batch_size=batch_size,
-            max_batch_delay=max_batch_delay,
-        )
+        self.batch_size = batch_size
         self.registry = MetricsRegistry()
         # Attached by serve_artifact(online_refit=True); the HTTP layer
         # taps data-plane traffic into it and routes /v1/admin/online.
@@ -456,8 +402,6 @@ class EngineDispatcher:
         self._closing = threading.Event()
         self._probe_thread: Optional[threading.Thread] = None
         self._generations: Dict[int, int] = {}
-        self._lease = None
-        self._spec, self._lease = self._make_spec(artifact)
         self._requests = self.registry.counter("serving_dispatch_requests_total")
         self._respawns = self.registry.counter("serving_worker_respawns_total")
         self._reloads = self.registry.counter("serving_reloads_total")
@@ -491,22 +435,7 @@ class EngineDispatcher:
     # ------------------------------------------------------------------
     # worker lifecycle
 
-    def _make_spec(self, artifact: ServingArtifact):
-        from repro.utils.shm import arena
-
-        manifest, arrays = artifact_payload(artifact)
-        shm_arrays = {k: v for k, v in arrays.items() if v.size}
-        inline = {k: np.asarray(v) for k, v in arrays.items() if not v.size}
-        lease = arena().publish(shm_arrays) if shm_arrays else None
-        spec = _ArtifactSpec(
-            manifest=manifest,
-            handles=dict(lease.handles) if lease is not None else {},
-            inline=inline,
-            checksum=artifact.checksum,
-        )
-        return spec, lease
-
-    def _spawn(self, index: int, spec: Optional[_ArtifactSpec] = None) -> _Worker:
+    def _spawn(self, index: int) -> _Worker:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         # Per-slot spawn counter -> the chaos plane's generation: a
         # seeded replacement must not replay its predecessor's faults.
@@ -515,8 +444,8 @@ class EngineDispatcher:
         process = self._ctx.Process(
             target=_serving_worker_main,
             args=(
-                spec or self._spec,
-                dict(self._engine_kwargs),
+                self.artifact,
+                self.batch_size,
                 child_conn,
                 index,
                 self._chaos,
@@ -599,8 +528,8 @@ class EngineDispatcher:
         """Respawn one dead slot and verify it before re-admission.
 
         Runs under ``_admin_lock`` so a blue/green reload can never
-        interleave: by the time this spawns, ``self._spec`` is either
-        fully pre-reload or fully post-reload.
+        interleave: by the time this spawns, ``self.artifact`` is
+        either fully pre-reload or fully post-reload.
         """
         with self._admin_lock:
             if self._stopped:
@@ -972,15 +901,14 @@ class EngineDispatcher:
     def reload(self, artifact_path: str) -> Dict:
         """Swap every worker onto the artifact at ``artifact_path``.
 
-        Loads + checksum-verifies the artifact, publishes its arrays to
-        the arena, then flips workers one at a time — each flip waits
-        for that worker's in-flight request under its lock, and the
-        other workers keep answering on whichever version they hold, so
+        Loads + checksum-verifies the artifact, then flips workers one
+        at a time — each flip sends the artifact and waits for that
+        worker's in-flight request under its lock, and the other
+        workers keep answering on whichever version they hold, so
         capacity never reaches zero.  Dead slots are skipped: the probe
         (which shares ``_admin_lock`` with this method) respawns them
-        from the post-reload spec.  On any failure the flipped workers
-        are rolled back and the new lease released.  The old lease is
-        released only after all workers acknowledged.
+        from the post-reload artifact.  On any failure the flipped
+        workers are rolled back onto the previous artifact.
         """
         if not isinstance(artifact_path, str) or not artifact_path:
             raise ValidationError("reload requires an 'artifact' directory path")
@@ -988,26 +916,20 @@ class EngineDispatcher:
             if self._stopped:
                 raise DispatchError("serving dispatcher is stopped")
             artifact = load_artifact(artifact_path)
-            spec, lease = self._make_spec(artifact)
             previous = self.artifact.checksum
             flipped: List[_Worker] = []
             try:
                 for worker in self._workers:
-                    self._flip(worker, spec)
+                    self._flip(worker, artifact)
                     flipped.append(worker)
             except BaseException:
                 for worker in flipped:
                     try:
-                        self._flip(worker, self._spec)
+                        self._flip(worker, self.artifact)
                     except ReproError:  # pragma: no cover - best effort
                         pass
-                if lease is not None:
-                    lease.release()
                 raise
-            old_lease = self._lease
-            self._spec, self._lease, self.artifact = spec, lease, artifact
-            if old_lease is not None:
-                old_lease.release()
+            self.artifact = artifact
             self._reloads.inc()
             _DISPATCH_LOG.info(
                 "reloaded %d workers onto artifact %s",
@@ -1022,12 +944,12 @@ class EngineDispatcher:
                 "workers": len(flipped),
             }
 
-    def _flip(self, worker: _Worker, spec: _ArtifactSpec) -> None:
+    def _flip(self, worker: _Worker, artifact: ServingArtifact) -> None:
         with worker.lock:
             if not worker.alive:
-                return  # probe respawns this slot from the updated spec
+                return  # probe respawns this slot from the updated artifact
             try:
-                worker.conn.send(("load", spec))
+                worker.conn.send(("load", artifact))
                 if not worker.conn.poll(_FLIP_TIMEOUT_S):
                     self._kill_locked(worker)
                     self._on_death_locked(worker, "flip-timeout")
@@ -1173,7 +1095,7 @@ class EngineDispatcher:
     # shutdown
 
     def stop(self) -> None:
-        """Drain and stop every worker; release the arena lease.
+        """Drain and stop every worker.
 
         Idempotent.  Stops the probe thread first (``_closing`` aborts
         any in-flight revival quickly), then waits for each worker's
@@ -1208,12 +1130,6 @@ class EngineDispatcher:
                 worker.conn.close()
             except OSError:
                 pass
-        if self._lease is not None:
-            self._lease.release()
-            self._lease = None
-        from repro.utils.shm import arena
-
-        arena().reap()
 
     def __enter__(self) -> "EngineDispatcher":
         return self

@@ -65,26 +65,23 @@ class _PendingBatch:
 class MicroBatcher:
     """Coalesce concurrent row batches into single model passes.
 
-    ``submit`` enqueues rows and blocks until a flush delivers their
-    results.  The first thread to find no flush in progress becomes the
-    *leader*: it optionally waits ``max_delay`` seconds for followers
-    to pile in, then runs ``fn`` once over every queued row and wakes
-    all waiters.  With ``max_delay=0`` a lone caller pays no latency —
-    coalescing then only captures rows that were already queued.
+    ``submit`` blocks until a model pass delivers its rows' results.
+    The first thread to find no pass in flight becomes the *leader* and
+    runs ``fn`` on its own rows at once, so a lone caller pays no
+    latency.  Rows submitted while a pass is in flight queue up, and
+    one of them is promoted to run a single pass over all of them.
+    Coalescing therefore only happens under in-process concurrency
+    (many HTTP threads on one engine); it never waits for company.
     """
 
     def __init__(
         self,
         fn,
         *,
-        max_delay: float = 0.0,
         flush_counter: Optional[Counter] = None,
         coalesced_counter: Optional[Counter] = None,
     ):
-        if max_delay < 0:
-            raise ValidationError("max_delay must be non-negative")
         self._fn = fn
-        self._max_delay = float(max_delay)
         self._lock = threading.Lock()
         self._queue: List[_PendingBatch] = []
         self._flushing = False
@@ -105,17 +102,16 @@ class MicroBatcher:
         return int(self._n_coalesced.value)
 
     def submit(self, rows: np.ndarray) -> np.ndarray:
+        # Rows only ever queue behind a pass in flight, so an empty
+        # queue is implied whenever no pass is.
         with self._lock:
-            solo = self._max_delay == 0.0 and not self._flushing and not self._queue
-            if solo:
+            leader = not self._flushing
+            if leader:
                 self._flushing = True
             else:
                 entry = _PendingBatch(rows)
                 self._queue.append(entry)
-                leader = not self._flushing
-                if leader:
-                    self._flushing = True
-        if solo:
+        if leader:
             # Uncontended fast path (the p50/p99 single-record route):
             # no queue entry, no Event, no concatenate — one lock
             # round-trip and the model pass itself.  Followers that
@@ -131,16 +127,11 @@ class MicroBatcher:
                         successor.event.set()
                     else:
                         self._flushing = False
-        if leader:
-            if self._max_delay > 0:
-                time.sleep(self._max_delay)
+        entry.event.wait()
+        if entry.promoted and entry.result is None and entry.error is None:
+            # the previous leader finished its own work and handed the
+            # flush duty to us; our rows are still queued
             self._drain(entry)
-        else:
-            entry.event.wait()
-            if entry.promoted and entry.result is None and entry.error is None:
-                # the previous leader finished its own work and handed
-                # the flush duty to us; our rows are still queued
-                self._drain(entry)
         if entry.error is not None:
             raise entry.error
         assert entry.result is not None
@@ -199,10 +190,6 @@ class InferenceEngine:
         The fitted pipeline to serve.
     batch_size:
         Upper bound on rows per model evaluation (chunking).
-    max_batch_delay:
-        Seconds the micro-batch leader waits for followers.  The
-        default 0 adds no latency; raise it (e.g. to 0.002) to trade
-        latency for throughput under heavy concurrency.
     """
 
     def __init__(
@@ -210,7 +197,6 @@ class InferenceEngine:
         artifact: ServingArtifact,
         *,
         batch_size: int = 256,
-        max_batch_delay: float = 0.0,
     ):
         if batch_size < 1:
             raise ValidationError("batch_size must be a positive integer")
@@ -222,7 +208,6 @@ class InferenceEngine:
         self.registry = MetricsRegistry()
         self._batcher = MicroBatcher(
             self._represent,
-            max_delay=max_batch_delay,
             flush_counter=self.registry.counter("serving_batch_flushes_total"),
             coalesced_counter=self.registry.counter(
                 "serving_coalesced_requests_total"

@@ -489,7 +489,6 @@ def serve_artifact(
     host: str = "127.0.0.1",
     port: int = 8351,
     batch_size: int = 256,
-    max_batch_delay: float = 0.0,
     workers: int = 1,
     deadline_s: Optional[float] = None,
     max_inflight: Optional[int] = None,
@@ -509,8 +508,8 @@ def serve_artifact(
     ``workers=1`` (the default) serves a single in-process engine —
     simplest to debug, no child processes.  ``workers >= 2`` builds an
     :class:`~repro.serving.dispatcher.EngineDispatcher`: N forked
-    engine workers sharing the model read-only through the shm arena,
-    with ``POST /v1/admin/reload`` blue/green swaps enabled.
+    engine workers, each holding its own copy of the artifact, with
+    ``POST /v1/admin/reload`` blue/green swaps enabled.
 
     ``deadline_s`` / ``max_inflight`` / ``shed_queue_s`` /
     ``max_retries`` / ``chaos`` shape the dispatcher's resilience layer
@@ -559,11 +558,7 @@ def serve_artifact(
         )
     artifact = load_artifact(artifact_path)
     if int(workers) == 1:
-        engine = InferenceEngine(
-            artifact,
-            batch_size=batch_size,
-            max_batch_delay=max_batch_delay,
-        )
+        engine = InferenceEngine(artifact, batch_size=batch_size)
     else:
         from repro.serving.dispatcher import EngineDispatcher
 
@@ -571,7 +566,6 @@ def serve_artifact(
             artifact,
             n_workers=int(workers),
             batch_size=batch_size,
-            max_batch_delay=max_batch_delay,
             deadline_s=deadline_s,
             max_inflight=max_inflight,
             shed_queue_s=shed_queue_s,

@@ -14,27 +14,15 @@ managers so segments are released even when a fit raises — leaked
 ``/dev/shm`` entries are a test-enforced bug
 (``tests/unit/test_shm.py``).  Every executor owns its broadcast and
 unlinks it when it shuts down.
-
-The serving dispatcher (:mod:`repro.serving.dispatcher`) publishes
-model artifacts to its engine workers through the **arena**
-(:class:`ShmArena`, reachable through the process-wide :func:`arena`
-singleton): a content-addressed, reference-counted cache of published
-arrays.  Publishing the same bytes twice — a blue/green reload of an
-unchanged artifact — returns the *existing* segment instead of
-re-copying it, and releasing a lease keeps the segment cached until
-the dispatcher reaps the cache on stop or the interpreter exits.
 """
 
 from __future__ import annotations
 
-import atexit
-import hashlib
 import itertools
 import os
-import threading
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
@@ -187,219 +175,6 @@ class SharedArrays:
 
     def __exit__(self, *exc) -> None:
         self.unlink()
-
-
-@dataclass
-class _ArenaEntry:
-    """One cached broadcast array (segment + refcount)."""
-
-    segment: shared_memory.SharedMemory
-    handle: SharedArrayHandle
-    refs: int = 0
-
-
-class ArenaLease:
-    """A reference-counted borrow of arena segments (release once).
-
-    ``handles`` maps the caller's array keys to picklable
-    :class:`SharedArrayHandle` descriptors, exactly like
-    ``SharedArrays.handles`` — the dispatcher ships them to workers
-    unchanged.  Releasing does **not** unlink: the segments stay
-    cached so the next publisher of the same bytes gets a warm hit.
-    """
-
-    def __init__(
-        self,
-        owner: "ShmArena",
-        digests: List[str],
-        handles: Dict[str, SharedArrayHandle],
-    ):
-        self._owner = owner
-        self._digests = digests
-        self.handles = handles
-        self._released = False
-
-    def release(self) -> None:
-        if self._released:
-            return
-        self._released = True
-        self._owner._release(self._digests)
-
-
-def _array_digest(array: np.ndarray) -> str:
-    """Content address of one C-contiguous array (bytes + layout)."""
-    digest = hashlib.sha1()
-    digest.update(str(array.shape).encode())
-    digest.update(array.dtype.str.encode())
-    digest.update(array.data)
-    return digest.hexdigest()
-
-
-class ShmArena:
-    """Content-addressed, refcounted cache of shared-array broadcasts.
-
-    The cached counterpart of :class:`SharedArrays`: callers
-    :meth:`publish` a mapping of arrays and get an :class:`ArenaLease`
-    whose handles workers attach to.  Arrays are keyed by a digest of
-    their bytes, so publishing the same artifact twice (a reload of
-    unchanged weights) costs one hash instead of a second copy.
-    Releasing a lease decrements refcounts but keeps segments cached;
-    :meth:`reap` unlinks the refcount-free ones (the dispatcher calls
-    it when it stops) and :meth:`clear` unlinks everything (atexit,
-    tests).  Fork-inherited state is forgotten in children — the
-    parent keeps the unlink duty.
-    """
-
-    def __init__(self):
-        self._lock = threading.RLock()
-        self._entries: Dict[str, _ArenaEntry] = {}
-        self._pid = os.getpid()
-        self.hits = 0
-        self.misses = 0
-
-    def publish(self, arrays: Mapping[str, np.ndarray]) -> ArenaLease:
-        """Lease segments for ``arrays``, reusing cached identical bytes."""
-        if not arrays:
-            raise ValidationError("ShmArena.publish needs at least one array")
-        registry = get_registry()
-        with self._lock, get_tracer().span(
-            "shm.arena_publish", n_arrays=len(arrays)
-        ):
-            self._check_fork()
-            digests: List[str] = []
-            handles: Dict[str, SharedArrayHandle] = {}
-            for key, array in arrays.items():
-                array = np.ascontiguousarray(array)
-                if array.size == 0:
-                    raise ValidationError(f"shared array {key!r} must not be empty")
-                digest = _array_digest(array)
-                entry = self._entries.get(digest)
-                if entry is None:
-                    self.misses += 1
-                    registry.counter("shm_arena_misses_total").inc()
-                    registry.counter("shm_broadcast_bytes_total").inc(
-                        array.nbytes
-                    )
-                    segment = shared_memory.SharedMemory(
-                        create=True,
-                        size=array.nbytes,
-                        name=(
-                            f"{SEGMENT_PREFIX}{os.getpid()}_"
-                            f"{next(_SEGMENT_COUNTER)}"
-                        ),
-                    )
-                    view = np.ndarray(
-                        array.shape, dtype=array.dtype, buffer=segment.buf
-                    )
-                    view[...] = array
-                    entry = _ArenaEntry(
-                        segment=segment,
-                        handle=SharedArrayHandle(
-                            name=segment.name,
-                            shape=tuple(array.shape),
-                            dtype=array.dtype.str,
-                        ),
-                    )
-                    self._entries[digest] = entry
-                else:
-                    self.hits += 1
-                    registry.counter("shm_arena_hits_total").inc()
-                entry.refs += 1
-                digests.append(digest)
-                handles[key] = entry.handle
-            return ArenaLease(self, digests, handles)
-
-    def _release(self, digests: List[str]) -> None:
-        with self._lock:
-            for digest in digests:
-                entry = self._entries.get(digest)
-                if entry is not None and entry.refs > 0:
-                    entry.refs -= 1
-
-    def reap(self) -> int:
-        """Unlink every refcount-free (cached-but-unleased) segment."""
-        with self._lock:
-            idle = [d for d, e in self._entries.items() if e.refs <= 0]
-            return sum(self._unlink(digest) for digest in idle)
-
-    def clear(self) -> int:
-        """Unlink every segment, leased or not (atexit / test teardown)."""
-        with self._lock:
-            return sum(self._unlink(d) for d in list(self._entries))
-
-    def _unlink(self, digest: str) -> int:
-        entry = self._entries.pop(digest, None)
-        if entry is None:  # pragma: no cover - caller holds the lock
-            return 0
-        try:
-            entry.segment.close()
-        except OSError:  # pragma: no cover - close is best-effort
-            pass
-        try:
-            entry.segment.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-        return 1
-
-    def stats(self) -> Dict[str, int]:
-        """Cache diagnostics: entry count, hit/miss counters.
-
-        The gauges mirror into the process-wide metrics registry
-        (``shm_arena_entries``/``shm_arena_leased``); the hit/miss
-        counters already live there as ``shm_arena_*_total``, updated
-        at publish time.
-        """
-        with self._lock:
-            stats = {
-                "entries": len(self._entries),
-                "leased": sum(1 for e in self._entries.values() if e.refs > 0),
-                "hits": self.hits,
-                "misses": self.misses,
-                "bytes": sum(
-                    e.segment.size for e in self._entries.values()
-                ),
-            }
-        registry = get_registry()
-        registry.gauge("shm_arena_entries").set(stats["entries"])
-        registry.gauge("shm_arena_leased").set(stats["leased"])
-        registry.gauge("shm_arena_bytes").set(stats["bytes"])
-        return stats
-
-    def _check_fork(self) -> None:
-        # A forked child inherits the entry table but not the unlink
-        # duty: dropping the dict keeps the parent's segments intact.
-        if os.getpid() != self._pid:
-            self._entries.clear()
-            self._pid = os.getpid()
-
-
-_ARENA: Optional[ShmArena] = None
-_ARENA_LOCK = threading.Lock()
-
-
-def arena() -> ShmArena:
-    """The process-wide arena instance (created lazily)."""
-    global _ARENA
-    with _ARENA_LOCK:
-        if _ARENA is None:
-            _ARENA = ShmArena()
-        return _ARENA
-
-
-def _forget_arena_in_child() -> None:
-    if _ARENA is not None:
-        _ARENA._entries.clear()
-        _ARENA._pid = os.getpid()
-
-
-if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX-only repo
-    os.register_at_fork(after_in_child=_forget_arena_in_child)
-
-
-@atexit.register
-def _clear_arena_at_exit() -> None:  # pragma: no cover - interpreter exit
-    if _ARENA is not None:
-        _ARENA.clear()
 
 
 def leaked_segments() -> list:

@@ -199,10 +199,11 @@ def tiny_census():
 def census_serving_artifact(tiny_census):
     """A serving artifact at the served shape: K = 10, N = 101.
 
-    At this shape the BLAS products behind ``U @ prototypes_`` and the
-    scorer can give a record other bits alone than inside a 16-record
-    request, so an answer that reuses rows an earlier request computed
-    shows up here; at ``tiny_compas``'s width they tend to agree.
+    At this shape a BLAS product for ``U @ prototypes_`` or the scorer
+    would give a record other bits alone than inside a 16-record
+    request, so an answer that depends on its request's height or on
+    earlier traffic shows up here; at ``tiny_compas``'s width such
+    products tend to agree.
     """
     return fit_serving_pipeline(
         tiny_census, n_prototypes=10, max_iter=25, max_pairs=500, random_state=3

@@ -1,10 +1,10 @@
 """Unit tests for the multi-process serving dispatcher.
 
-The dispatcher must be *transparent*: N shm-backed engine workers
-answer bitwise-identically to one in-process engine, survive worker
-crashes, swap models blue/green without dropping capacity, and ship
-per-worker telemetry back into one mergeable registry — all without
-leaking shared-memory segments.
+The dispatcher must be *transparent*: N forked engine workers answer
+bitwise-identically to one in-process engine, survive worker crashes,
+swap models blue/green without dropping capacity or leaking file
+descriptors, and ship per-worker telemetry back into one mergeable
+registry — all without creating shared-memory segments.
 """
 
 import json
@@ -40,6 +40,17 @@ def artifact_dir(tiny_compas, tmp_path_factory):
     )
     return save_artifact(
         str(tmp_path_factory.mktemp("dispatch") / "compas"), artifact
+    )
+
+
+@pytest.fixture(scope="module")
+def other_artifact_dir(tiny_compas, tmp_path_factory):
+    other = fit_serving_pipeline(
+        tiny_compas, n_prototypes=3, max_iter=20, max_pairs=400,
+        random_state=11,
+    )
+    return save_artifact(
+        str(tmp_path_factory.mktemp("dispatch") / "other"), other
     )
 
 
@@ -348,24 +359,19 @@ class TestReload:
         assert np.array_equal(dispatcher.score(records), before)
 
     def test_reload_new_artifact_swaps_checksum_and_answers(
-        self, tiny_compas, artifact_dir, tmp_path, records
+        self, artifact_dir, other_artifact_dir, records
     ):
-        other = fit_serving_pipeline(
-            tiny_compas, n_prototypes=3, max_iter=20, max_pairs=400,
-            random_state=11,
-        )
-        other_dir = save_artifact(str(tmp_path / "other"), other)
+        other = load_artifact(other_artifact_dir)
         dispatcher = EngineDispatcher(load_artifact(artifact_dir), n_workers=2)
         try:
             old = dispatcher.score(records)
-            answer = dispatcher.reload(other_dir)
+            answer = dispatcher.reload(other_artifact_dir)
             assert answer["checksum"] == other.checksum
             assert dispatcher.artifact.checksum == other.checksum
-            fresh = InferenceEngine(load_artifact(other_dir))
+            fresh = InferenceEngine(other)
             assert np.array_equal(dispatcher.score(records), fresh.score(records))
             assert not np.array_equal(dispatcher.score(records), old)
-            # ...and back: the blue artifact's segments were released
-            # but republish cleanly.
+            # ...and back onto the first artifact.
             assert dispatcher.reload(artifact_dir)["checksum"] != other.checksum
             assert np.array_equal(dispatcher.score(records), old)
         finally:
@@ -382,6 +388,68 @@ class TestReload:
         assert np.array_equal(dispatcher.score(records), before)
 
 
+def _fd_count(pid: int) -> int:
+    return len(os.listdir(f"/proc/{pid}/fd"))
+
+
+class TestReloadChurn:
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/<pid>/fd"
+    )
+    def test_reloads_keep_worker_fd_counts_flat(
+        self, artifact_dir, other_artifact_dir, records
+    ):
+        # A worker that kept each reloaded artifact's resources open
+        # would run into the fd limit after enough reloads.
+        with EngineDispatcher(load_artifact(artifact_dir), n_workers=2) as tier:
+            tier.score(records)
+            pids = [worker.process.pid for worker in tier._workers]
+            start = [_fd_count(pid) for pid in pids]
+            for i in range(40):
+                path = other_artifact_dir if i % 2 == 0 else artifact_dir
+                assert tier.reload(path)["workers"] == 2
+                tier.score(records)
+            assert [worker.process.pid for worker in tier._workers] == pids
+            grown = [_fd_count(pid) - n for pid, n in zip(pids, start)]
+        assert max(grown) <= 2, grown
+
+
+class TestRequestHeight:
+    @staticmethod
+    def _answers_by_height(tier, X, n=16):
+        """The first ``n`` records' (transform, score) at heights 1, n, len(X)."""
+        alone = [
+            (tier.transform(X[i : i + 1])[0], tier.score(X[i : i + 1])[0])
+            for i in range(n)
+        ]
+        return {
+            1: (np.stack([z for z, _ in alone]), np.array([p for _, p in alone])),
+            n: (tier.transform(X[:n]), tier.score(X[:n])),
+            len(X): (tier.transform(X)[:n], tier.score(X)[:n]),
+        }
+
+    def test_served_bits_do_not_depend_on_request_height(
+        self, census_serving_artifact, tiny_census, tmp_path
+    ):
+        # K = 10, N = 101: the served shape, where a BLAS product would
+        # give a record other bits alone than inside a larger request.
+        path = save_artifact(str(tmp_path / "census"), census_serving_artifact)
+        X = np.concatenate([tiny_census.X, tiny_census.X[:56]])
+        assert X.shape == (256, 101)
+        expected = self._answers_by_height(InferenceEngine(load_artifact(path)), X)
+        runs = [expected]
+        with EngineDispatcher(load_artifact(path), n_workers=2) as tier:
+            runs.append(self._answers_by_height(tier, X))
+            tier.reload(path)
+            runs.append(self._answers_by_height(tier, X))
+        reference = expected[1]
+        for run in runs:
+            assert sorted(run) == [1, 16, 256]
+            for transformed, scores in run.values():
+                np.testing.assert_array_equal(transformed, reference[0])
+                np.testing.assert_array_equal(scores, reference[1])
+
+
 class TestCleanup:
     def test_stop_releases_all_segments(self, artifact_dir, records):
         before = set(leaked_segments())
@@ -389,3 +457,14 @@ class TestCleanup:
         dispatcher.score(records)
         dispatcher.stop()
         assert set(leaked_segments()) <= before
+
+    def test_serving_and_reloading_create_no_segments(
+        self, artifact_dir, other_artifact_dir, records
+    ):
+        before = set(leaked_segments())
+        with EngineDispatcher(load_artifact(artifact_dir), n_workers=2) as tier:
+            tier.score(records)
+            assert set(leaked_segments()) <= before
+            tier.reload(other_artifact_dir)
+            tier.score(records)
+            assert set(leaked_segments()) <= before

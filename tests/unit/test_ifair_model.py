@@ -331,6 +331,22 @@ class TestChunkedTransform:
             model.transform(X), model.transform(X, batch_size=batch_size)
         )
 
+    @pytest.mark.parametrize("height", [1, 13, 64])
+    def test_transform_rows_exact_at_served_shape(self, height):
+        # K = 10, N = 101 is the served census model's shape, where a
+        # BLAS product gives a row other bits at other heights; the
+        # scale keeps memberships soft, as on standardised records.
+        X = np.random.default_rng(8).normal(size=(64, 101)) * 0.1
+        model = IFair(
+            n_prototypes=10, n_restarts=1, max_iter=10, random_state=0,
+            max_pairs=400,
+        ).fit(X, [5])
+        pieces = [model.transform(X[i : i + height]) for i in range(0, 64, height)]
+        assert np.array_equal(model.transform(X), np.concatenate(pieces))
+        assert np.array_equal(
+            model.transform(X), model.transform(X, batch_size=height)
+        )
+
     @pytest.mark.parametrize("p", [1.0, 3.0])
     def test_chunking_exact_for_general_p(self, p):
         X = np.random.default_rng(6).normal(size=(30, 4))
