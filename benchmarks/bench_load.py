@@ -5,6 +5,9 @@ sockets with concurrent keep-alive clients (stdlib ``http.client``),
 once against the single in-process engine (``workers=1``) and once
 against the multi-process dispatcher (``workers=2``), recording
 sustained RPS, p50/p99 latency, and the worker-scaling efficiency.
+The clients run in a ``spawn``-started child process, so they share
+the GIL of neither the engine (``workers=1``) nor the router
+(``workers=2``).
 During the ``workers=2`` run a background thread fires two blue/green
 ``POST /v1/admin/reload`` swaps mid-traffic; the gate requires zero
 failed requests across the flip.
@@ -32,6 +35,7 @@ from __future__ import annotations
 import argparse
 import http.client
 import json
+import multiprocessing
 import os
 import platform
 import tempfile
@@ -164,6 +168,47 @@ def run_load(host, port, bodies, duration, path="/v1/score"):
     return rps, p50, p99, failures
 
 
+def _load_child(conn, host, port, bodies, duration):
+    conn.send("ready")
+    conn.send(run_load(host, port, bodies, duration))
+    conn.close()
+
+
+def run_load_in_child(host, port, bodies, duration, on_ready=None):
+    """:func:`run_load` in a child process of its own; same result.
+
+    The child is ``spawn``-started, not forked, because the server's
+    threads are live in this process.  ``on_ready`` runs once the
+    child has finished its imports, just before its clients connect.
+    """
+    ctx = multiprocessing.get_context("spawn")
+    receiver, sender = ctx.Pipe(duplex=False)
+    child = ctx.Process(
+        target=_load_child,
+        args=(sender, host, port, bodies, duration),
+        daemon=True,
+    )
+    child.start()
+    sender.close()
+
+    def receive(timeout):
+        if not receiver.poll(timeout):
+            raise RuntimeError("load generator child stopped reporting")
+        return receiver.recv()
+
+    try:
+        receive(120.0)  # "ready": the child's imports are done
+        if on_ready is not None:
+            on_ready()
+        return receive(duration + 120.0)
+    finally:
+        receiver.close()
+        child.join(timeout=30.0)
+        if child.is_alive():
+            child.kill()
+            child.join()
+
+
 def _reload_loop(host, port, targets, duration, state):
     """Fire one blue/green swap per target, spread across the run."""
     gap = duration / (len(targets) + 1)
@@ -225,9 +270,9 @@ def bench_workers(quick: bool = True) -> dict:
                         target=_reload_loop,
                         args=(host, port, [green, blue], duration, reload_state),
                     )
-                    reloader.start()
-                rps, p50, p99, failures = run_load(
-                    host, port, bodies, duration
+                rps, p50, p99, failures = run_load_in_child(
+                    host, port, bodies, duration,
+                    on_ready=None if reloader is None else reloader.start,
                 )
                 if reloader is not None:
                     reloader.join(timeout=60)

@@ -26,6 +26,7 @@ from repro.serving import (
     ChaosConfig,
     EngineDispatcher,
     InferenceEngine,
+    InProcessClient,
     fit_serving_pipeline,
     load_artifact,
     save_artifact,
@@ -59,12 +60,14 @@ def main():
             backoff_base_s=0.02,
             chaos=chaos,
         )
+        # The service's own request path, without a socket.
+        client = InProcessClient(dispatcher)
         try:
             batches = [dataset.X[i : i + 8] for i in range(0, 80, 8)]
             mismatches = 0
             for round_no in range(5):
                 for batch in batches:
-                    got = dispatcher.score(batch)
+                    got = client.score(batch.tolist())
                     if not np.array_equal(got, reference.score(batch)):
                         mismatches += 1
                 if round_no == 2:
@@ -101,7 +104,7 @@ def main():
             )
         finally:
             dispatcher.stop()
-        print("dispatcher stopped, all shared-memory segments released")
+        print("dispatcher stopped, all workers joined")
 
 
 if __name__ == "__main__":

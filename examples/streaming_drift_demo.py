@@ -129,7 +129,7 @@ def main():
             assert status["refits"] == settled, "controller kept flapping"
         finally:
             service.stop()
-        print("service stopped, all shared-memory segments released")
+        print("service stopped, all workers joined")
 
 
 if __name__ == "__main__":

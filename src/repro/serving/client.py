@@ -1,11 +1,14 @@
 """Clients for the decision service.
 
-Two transports, one contract: :class:`InProcessClient` calls the
-engine through the very same :func:`repro.serving.service.dispatch`
-function the HTTP handler uses, and :class:`HTTPClient` speaks JSON
-over a socket.  A test (or benchmark) parameterised over both clients
-therefore exercises identical request semantics, differing only in the
-wire.
+Two transports, one contract: :class:`InProcessClient` hands the JSON
+bytes HTTP would carry to :func:`repro.serving.service.respond`, the
+one request path the HTTP handler frames, and :class:`HTTPClient`
+speaks JSON over a socket.  A test (or benchmark) parameterised over
+both clients therefore exercises identical request semantics on
+either serving tier, differing only in the wire.
+
+``/v1/metrics`` answers Prometheus text, which both clients return
+under the ``"prometheus"`` key; every other answer is the JSON body.
 
 Error surface: both transports raise :class:`ServiceError` subclasses
 keyed by status — :class:`ServiceOverloadedError` (429, the tier shed
@@ -32,7 +35,7 @@ from typing import Dict, List, Optional
 
 from repro.exceptions import ReproError
 from repro.serving.engine import InferenceEngine
-from repro.serving.service import RequestError, dispatch
+from repro.serving.service import JSON_TYPE, respond
 
 
 class ServiceError(ReproError):
@@ -144,25 +147,30 @@ class BaseClient:
 
 
 class InProcessClient(BaseClient):
-    """Drive an engine directly, bypassing sockets but not semantics."""
+    """Drive an engine or dispatcher directly, bypassing sockets but not
+    semantics."""
 
     def __init__(self, engine: InferenceEngine):
         self.engine = engine
 
     def request(self, method: str, path: str, payload: Optional[Dict] = None) -> Dict:
-        # Round-trip the payload through JSON so in-process callers can
+        # The body HTTPClient would send, so in-process callers can
         # pass nothing the HTTP transport could not carry.
-        payload = json.loads(json.dumps(payload)) if payload is not None else None
-        try:
-            body = dispatch(self.engine, method, path, payload)
-        except RequestError as exc:
+        raw = b""
+        if method.upper() == "POST":
+            raw = json.dumps(payload or {}).encode("utf-8")
+        status, content_type, body = respond(self.engine, method, path, raw)
+        if content_type != JSON_TYPE:
+            return {"prometheus": body.decode("utf-8")}
+        answer = json.loads(body.decode("utf-8"))
+        if status >= 400:
             raise service_error(
-                str(exc),
-                exc.status,
-                retry_after_s=getattr(exc, "retry_after_s", None),
-                worker=getattr(exc, "worker", None),
+                answer.get("error", f"HTTP {status}"),
+                status,
+                retry_after_s=answer.get("retry_after_s"),
+                worker=answer.get("worker"),
             )
-        return json.loads(json.dumps(body))
+        return answer
 
 
 class HTTPClient(BaseClient):
@@ -222,7 +230,10 @@ class HTTPClient(BaseClient):
         req = urllib.request.Request(url, data=data, headers=headers, method=method)
         try:
             with urllib.request.urlopen(req, timeout=self.timeout) as response:
-                body = json.loads(response.read().decode("utf-8"))
+                text = response.read().decode("utf-8")
+                if response.headers.get_content_type() != JSON_TYPE:
+                    return {"prometheus": text}
+                body = json.loads(text)
         except urllib.error.HTTPError as exc:
             message, retry_after, worker = str(exc), None, None
             try:

@@ -29,11 +29,12 @@ the same ingredients the fit-time executor uses
   pulled, while the parent's own ``serving_dispatch_requests_total``
   counts every answer.
 
-HTTP handler threads stay thin: ``do_POST`` hands the *raw body bytes*
-to :meth:`EngineDispatcher.handle_http`, which picks the least-loaded
+Request threads stay thin: :func:`repro.serving.service.respond` hands
+the *raw body bytes* of a data-plane POST to
+:meth:`EngineDispatcher.handle_http`, which picks the least-loaded
 worker (round-robin tie-break) and waits on that worker's pipe; JSON
-decode/encode happens inside the worker, off the parent's GIL.
-``GET /v1/health`` never crosses a pipe.
+decode/encode happens inside the worker (:func:`repro.serving.service.answer`),
+off the parent's GIL.  ``GET /v1/health`` never crosses a pipe.
 
 Resilience (PR 9) — the dispatcher answers *definitively* even when
 workers crash, hang, or corrupt their pipe:
@@ -74,20 +75,18 @@ probe respawns them from the post-reload artifact.
 
 from __future__ import annotations
 
-import json
 import pickle
 import random
 import threading
 import time
 from typing import Dict, List, Optional, Set, Tuple
 
-import numpy as np
-
 from repro.exceptions import ReproError, ValidationError
 from repro.core.executor import _process_context
 from repro.serving.artifacts import ServingArtifact, load_artifact
 from repro.serving.chaos import ChaosConfig, ChaosPlane
 from repro.serving.engine import InferenceEngine, serving_endpoints
+from repro.serving.service import answer, error_payload
 from repro.telemetry.logs import get_logger
 from repro.telemetry.metrics import (
     MetricsRegistry,
@@ -121,9 +120,10 @@ class DispatchError(ReproError):
     """The dispatcher could not answer (worker loss, stopped tier).
 
     ``retry_after_s`` is the dispatcher's estimate of when retrying
-    could succeed (serialised into the error body and the
-    ``Retry-After`` header by the HTTP layer); ``worker`` is the slot
-    index of the last worker involved, when one was.
+    could succeed (serialised into the JSON error body by
+    :func:`repro.serving.service.respond`, and into the ``Retry-After``
+    header over HTTP); ``worker`` is the slot index of the last worker
+    involved, when one was.
     """
 
     def __init__(
@@ -150,24 +150,6 @@ class AdmissionError(DispatchError):
 
 # ----------------------------------------------------------------------
 # worker process
-
-
-def _answer(engine: InferenceEngine, path: str, raw: bytes) -> Tuple[int, bytes]:
-    """One POST request, JSON in / JSON out, entirely in this worker."""
-    from repro.serving.service import RequestError, dispatch
-
-    try:
-        payload = json.loads(raw.decode("utf-8")) if raw else {}
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        return 400, json.dumps(
-            {"error": f"request body is not valid JSON: {exc}"}
-        ).encode("utf-8")
-    try:
-        body = dispatch(engine, "POST", path, payload)
-        status = 200
-    except RequestError as exc:
-        body, status = {"error": str(exc)}, exc.status
-    return status, json.dumps(body).encode("utf-8")
 
 
 def _serving_worker_main(
@@ -256,14 +238,10 @@ def _serving_worker_main(
             if plane is not None and plane.inject(conn):
                 continue  # fault consumed the request (corrupt frame sent)
             if engine is None:
-                conn.send(
-                    ("http", 503,
-                     json.dumps(
-                         {"error": error, "retry_after_s": 1.0, "worker": index}
-                     ).encode("utf-8"))
-                )
+                failure = DispatchError(error, retry_after_s=1.0, worker=index)
+                conn.send(("http", *error_payload(failure)))
                 continue
-            conn.send(("http", *_answer(engine, path, raw)))
+            conn.send(("http", *answer(engine, path, raw)))
     except (EOFError, OSError, KeyboardInterrupt):  # parent went away
         pass
 
@@ -303,12 +281,12 @@ class _Worker:
 class EngineDispatcher:
     """Fan requests out to N forked engine workers sharing one model.
 
-    Duck-types the :class:`~repro.serving.engine.InferenceEngine`
-    surface that :func:`repro.serving.service.dispatch` touches
-    (``artifact``, ``uptime_s``, ``endpoints``, ``stats``,
-    ``metrics_text``, ``health``, plus the transform/score/rank/decide
-    verbs), so :class:`~repro.serving.service.DecisionService` and the
-    in-process client work unchanged against a multi-process tier.
+    Serves the same request path as an in-process
+    :class:`~repro.serving.engine.InferenceEngine`
+    (:func:`repro.serving.service.respond`): data-plane bodies go to
+    :meth:`handle_http` and on to a worker's engine, while
+    ``health``, ``stats``, ``metrics_text``, ``drift_flags`` and
+    :meth:`reload` answer the GET and admin verbs for the whole tier.
 
     ``batch_size`` is the engine's and applies *per worker*.
     Resilience knobs:
@@ -850,52 +828,6 @@ class EngineDispatcher:
                 tracer.ingest(spans)
 
     # ------------------------------------------------------------------
-    # engine-compatible verbs (used by dispatch() and InProcessClient)
-
-    def _call(self, path: str, payload: Dict) -> Dict:
-        status, body = self.handle_http(
-            path, json.dumps(payload).encode("utf-8")
-        )
-        answer = json.loads(body.decode("utf-8"))
-        if status >= 400:
-            raise DispatchError(
-                str(answer.get("error", "request failed")),
-                status=status,
-                retry_after_s=answer.get("retry_after_s"),
-                worker=answer.get("worker"),
-            )
-        return answer
-
-    @staticmethod
-    def _listify(records):
-        return records.tolist() if isinstance(records, np.ndarray) else list(records)
-
-    def transform(self, records) -> np.ndarray:
-        answer = self._call("/v1/transform", {"records": self._listify(records)})
-        return np.asarray(answer["transformed"], dtype=np.float64)
-
-    def score(self, records) -> np.ndarray:
-        answer = self._call("/v1/score", {"records": self._listify(records)})
-        return np.asarray(answer["scores"], dtype=np.float64)
-
-    def rank(self, records, *, top_k=None, groups=None) -> Dict:
-        payload: Dict = {"records": self._listify(records)}
-        if top_k is not None:
-            payload["top_k"] = top_k
-        if groups is not None:
-            payload["groups"] = self._listify(np.asarray(groups))
-        return self._call("/v1/rank", payload)
-
-    def decide(self, records, groups) -> Dict:
-        return self._call(
-            "/v1/decide",
-            {
-                "records": self._listify(records),
-                "groups": self._listify(np.asarray(groups)),
-            },
-        )
-
-    # ------------------------------------------------------------------
     # blue/green reload
 
     def reload(self, artifact_path: str) -> Dict:
@@ -968,7 +900,7 @@ class EngineDispatcher:
             raise ValidationError(str(payload))
 
     # ------------------------------------------------------------------
-    # engine-compatible introspection (GET endpoints, in-process)
+    # tier-wide introspection (the GET endpoints and the online controller)
 
     @property
     def uptime_s(self) -> float:

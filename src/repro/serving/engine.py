@@ -255,24 +255,7 @@ class InferenceEngine:
 
     def _encode(self, records) -> np.ndarray:
         """Raw request records -> the encoded numeric feature space."""
-        if self._encoder is not None:
-            X = self._encoder.transform(np.asarray(records, dtype=object))
-        else:
-            X = np.asarray(records, dtype=np.float64)
-            if X.ndim == 1:
-                X = X.reshape(1, -1)
-            if X.ndim != 2:
-                raise ValidationError("records must be a 2-D array-like")
-        if X.shape[0] == 0:
-            raise ValidationError("records must not be empty")
-        if X.shape[1] != self._n_features:
-            raise ValidationError(
-                f"records have {X.shape[1]} features, model expects "
-                f"{self._n_features}"
-            )
-        if not np.all(np.isfinite(X)):
-            raise ValidationError("records contain NaN or infinite values")
-        return X
+        return encode_records(records, self._encoder, self._n_features)
 
     def _represent(self, X: np.ndarray) -> np.ndarray:
         """Encoded records -> fair representation (scaler + iFair).
@@ -458,22 +441,55 @@ class InferenceEngine:
         return serving_endpoints(self.artifact)
 
     def health(self) -> Dict:
-        """Liveness verdict, mirroring the dispatcher's shape.
+        """Liveness verdict for ``GET /v1/health``.
 
         A single in-process engine has no worker slots that can fail
         independently — if this method answers, the engine is ``ok``.
-        Keeping the shape lets ``GET /v1/health`` report a uniform
-        ``status`` + ``resilience`` block across both serving tiers.
         """
         return {"status": "ok", "workers": 1, "workers_alive": 1}
 
     def drift_flags(self) -> Dict:
-        """The fairness monitor's current drift verdict.
-
-        Uniform surface with :meth:`EngineDispatcher.drift_flags` so
-        the online controller reads one method on either serving tier.
-        """
+        """The fairness monitor's current drift verdict (``any`` plus
+        one flag per dimension), as the online controller reads it."""
         return self.monitor.drift_flags()
+
+    def handle_http(self, path: str, raw: bytes) -> Tuple[int, bytes]:
+        """Answer one data-plane POST body: ``(status, JSON bytes)``.
+
+        Runs :func:`repro.serving.service.answer`, as every dispatcher
+        worker does, so both tiers decode, answer and encode a body in
+        the same code.
+        """
+        from repro.serving.service import answer
+
+        return answer(self, path, raw)
+
+
+def encode_records(records, encoder, n_features: int) -> np.ndarray:
+    """Raw request records -> the encoded numeric feature space.
+
+    The one acceptance gate for a record: the engine serves exactly the
+    records this accepts, and the online controller's refit window
+    learns from exactly those.  Raises :class:`ValidationError` on a
+    bad shape, width or value.
+    """
+    if encoder is not None:
+        X = encoder.transform(np.asarray(records, dtype=object))
+    else:
+        X = np.asarray(records, dtype=np.float64)
+        if X.ndim == 1:
+            X = X.reshape(1, -1)
+        if X.ndim != 2:
+            raise ValidationError("records must be a 2-D array-like")
+    if X.shape[0] == 0:
+        raise ValidationError("records must not be empty")
+    if X.shape[1] != n_features:
+        raise ValidationError(
+            f"records have {X.shape[1]} features, model expects {n_features}"
+        )
+    if not np.all(np.isfinite(X)):
+        raise ValidationError("records contain NaN or infinite values")
+    return X
 
 
 def serving_endpoints(artifact: ServingArtifact) -> List[str]:

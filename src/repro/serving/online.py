@@ -8,12 +8,15 @@ served weights — the :class:`OnlineController` connects them.
 
 The controller runs on one daemon thread next to the HTTP front end:
 
-1. **Tap** — the HTTP handler hands it the raw bytes of every
+1. **Tap** — the service's one request path
+   (:func:`repro.serving.service.respond`, behind both the HTTP
+   handler and the in-process client) hands it the raw bytes of every
    data-plane POST (:meth:`OnlineController.tap` is append-to-deque
    cheap and never raises, so the serving path cannot be degraded by
    it).  A background tick parses the tapped payloads, pushes the
-   records through the *frozen* encoder + scaler, and keeps the last
-   ``refresh_window`` encoded rows.
+   records through the engine's acceptance gate
+   (:func:`repro.serving.engine.encode_records`) and the *frozen*
+   scaler, and keeps the last ``refresh_window`` scaled rows.
 2. **Detect** — two independent drift signals: the fairness monitor's
    flags (merged across worker processes through their relabelled
    ``fairness_drift`` gauges) and a covariate-shift statistic — the
@@ -56,7 +59,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import asdict, dataclass
-from json import JSONDecodeError, loads
+from json import loads
 from typing import Deque, Dict, List, Optional
 
 import numpy as np
@@ -64,6 +67,7 @@ import numpy as np
 from repro.core.model import IFair
 from repro.exceptions import ValidationError
 from repro.serving.artifacts import ServingArtifact, save_artifact
+from repro.serving.engine import encode_records
 from repro.telemetry.logs import get_logger
 from repro.telemetry.tracing import get_tracer
 from repro.utils.landmarks import anchor_assignment_cost, refresh_landmarks
@@ -171,10 +175,11 @@ class OnlineController:
     ----------
     engine:
         The serving engine whose model is kept fresh.  Needs
-        ``artifact`` and ``registry``; automatic *reloads* additionally
-        need ``reload`` (the multi-worker dispatcher) — without it the
-        controller still refits and versions artifacts, and reports
-        ``reload: unsupported`` in its status.
+        ``artifact``, ``registry`` and ``drift_flags`` (both tiers have
+        them); automatic *reloads* additionally need ``reload`` (the
+        multi-worker dispatcher) — without it the controller still
+        refits and versions artifacts, and reports ``reload:
+        unsupported`` in its status.
     artifact_path:
         Directory of the served artifact; versioned online artifacts
         are written under ``<artifact_path>/online/vNNNN``.
@@ -232,9 +237,10 @@ class OnlineController:
     def tap(self, path: str, raw: bytes) -> None:
         """Hand the controller one data-plane POST body (cheap, safe).
 
-        Called from the HTTP handler threads — one lock round-trip and
-        a bounded append; any exception is swallowed because nothing
-        about drift response may degrade the request path.
+        Called on the request path of both transports — one lock
+        round-trip and a bounded append; any exception is swallowed
+        because nothing about drift response may degrade the request
+        path.
         """
         try:
             if not raw or path.startswith("/v1/admin"):
@@ -303,33 +309,24 @@ class OnlineController:
             drained = list(self._tap)
             self._tap.clear()
         artifact = self.engine.artifact
-        n_features = artifact.model.prototypes_.shape[1]
         rows: List[np.ndarray] = []
         for raw in drained:
             try:
                 payload = loads(raw.decode("utf-8"))
-                records = payload.get("records")
+                records = (
+                    payload.get("records") if isinstance(payload, dict) else None
+                )
                 if not isinstance(records, list) or not records:
                     continue
-                if artifact.encoder is not None:
-                    X = artifact.encoder.transform(
-                        np.asarray(records, dtype=object)
-                    )
-                else:
-                    X = np.asarray(records, dtype=np.float64)
-                    if X.ndim == 1:
-                        X = X.reshape(1, -1)
-                if X.ndim != 2 or X.shape[1] != n_features:
-                    continue
-                if not np.all(np.isfinite(X)):
-                    continue
-                if artifact.scaler is not None:
-                    X = artifact.scaler.transform(X, validate=False)
-                rows.extend(np.asarray(X, dtype=np.float64))
-            except (UnicodeDecodeError, JSONDecodeError, ValueError, TypeError):
-                # Malformed payloads were already rejected by the data
-                # plane; the window only learns from servable records.
+                X = encode_records(records, artifact.encoder, artifact.n_features)
+            except (ValidationError, ValueError, TypeError):
+                # ValidationError is the engine's own rejection (JSON
+                # and Unicode decode errors are ValueErrors too): the
+                # window only learns from records the engine serves.
                 continue
+            if artifact.scaler is not None:
+                X = artifact.scaler.transform(X, validate=False)
+            rows.extend(X)
         if rows:
             with self._data_lock:
                 for row in rows:
@@ -390,13 +387,7 @@ class OnlineController:
         return max(1, min(_SHIFT_ANCHORS, int(window_rows) // 4))
 
     def _drift_flagged(self) -> bool:
-        flags = getattr(self.engine, "drift_flags", None)
-        if callable(flags):
-            return bool(flags().get("any", False))
-        monitor = getattr(self.engine, "monitor", None)
-        if monitor is not None:
-            return bool(monitor.drift_flags().get("any", False))
-        return False
+        return bool(self.engine.drift_flags().get("any", False))
 
     def _shift_flagged(self) -> bool:
         return (

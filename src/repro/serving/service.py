@@ -1,10 +1,14 @@
 """JSON decision service over the inference engine (stdlib only).
 
-The HTTP layer is deliberately thin: every endpoint is implemented in
-:func:`dispatch`, a pure function from ``(engine, method, path,
-payload)`` to a JSON-safe dict.  The in-process client calls
-``dispatch`` directly and the HTTP handler calls it per request, so
-both request paths share one implementation and cannot drift apart.
+One request path serves both tiers and both transports: :func:`respond`
+maps ``(engine, method, path, raw body bytes)`` to ``(status, content
+type, body bytes)``.  The HTTP handler only frames it, and the
+in-process client calls it with the JSON bytes HTTP would carry.
+Data-plane POSTs go to ``engine.handle_http`` as raw bytes; there
+:func:`answer` decodes them, runs :func:`dispatch` and encodes the
+reply, in-process on the single-engine tier and inside a worker on the
+multi-worker tier.  GET and admin verbs run :func:`dispatch` in the
+serving process, because they read or orchestrate the whole tier.
 
 Endpoints
 ---------
@@ -21,12 +25,12 @@ Endpoints
 ``POST /v1/admin/online``   manual warm refit + reload (bypasses policy)
 (``online_refit=True`` services only; see :mod:`repro.serving.online`)
 
-Over HTTP, ``/v1/metrics`` answers with raw ``text/plain`` in the
-Prometheus exposition format; through :func:`dispatch` (the in-process
-client) the same text arrives under the ``"prometheus"`` key.  Every
-handled request emits a structured access-log record (method, path,
-status, latency_ms) through :mod:`repro.telemetry.logs` — quiet unless
-``configure_logging`` was called.
+``/v1/metrics`` answers with raw ``text/plain`` in the Prometheus
+exposition format; every other reply, errors included, is JSON, and
+429/503 replies also carry a ``Retry-After`` header over HTTP.  Every
+request the HTTP handler answers emits a structured access-log record
+(method, path, status, latency_ms) through :mod:`repro.telemetry.logs`
+— quiet unless ``configure_logging`` was called.
 """
 
 from __future__ import annotations
@@ -47,6 +51,9 @@ from repro.telemetry.tracing import get_tracer
 
 MAX_REQUEST_BYTES = 8 * 1024 * 1024
 
+JSON_TYPE = "application/json"
+PROMETHEUS_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
 _ACCESS_LOG = get_logger("serving.access")
 _SERVER_LOG = get_logger("serving.http")
 
@@ -61,8 +68,8 @@ class RequestError(ValidationError):
 
     Overload/unavailability statuses (429/503) carry ``retry_after_s``
     (the server's estimate of when retrying could succeed) and
-    ``worker`` (the engine slot involved, when one was) so both the
-    HTTP layer and the in-process client can surface them.
+    ``worker`` (the engine slot involved, when one was) so both
+    transports can surface them.
     """
 
     def __init__(
@@ -80,8 +87,8 @@ class RequestError(ValidationError):
 
 def error_payload(
     exc: BaseException, default_status: int = 400
-) -> Tuple[int, Dict]:
-    """Structured JSON error body for ``exc``.
+) -> Tuple[int, bytes]:
+    """Status and structured JSON error body for ``exc``.
 
     Every 429/503 body carries ``error`` + ``retry_after_s`` +
     ``worker`` (satellite contract of the resilience layer); other
@@ -95,7 +102,7 @@ def error_payload(
             DEFAULT_RETRY_AFTER_S if retry_after is None else float(retry_after)
         )
         body["worker"] = getattr(exc, "worker", None)
-    return status, body
+    return status, json.dumps(body).encode("utf-8")
 
 
 def _require_records(payload: Dict):
@@ -112,13 +119,22 @@ def _require_records(payload: Dict):
 def dispatch(
     engine: InferenceEngine, method: str, path: str, payload: Optional[Dict]
 ) -> Dict:
-    """Answer one service request; raises :class:`RequestError` on 4xx."""
+    """Answer one decoded request; raises :class:`RequestError` on 4xx.
+
+    The data-plane verbs call the engine's model methods, so they run
+    where the model lives (:func:`answer`); on the multi-worker tier
+    the serving process only routes GET and admin verbs here.
+    """
     payload = payload or {}
     path = path.split("?", 1)[0]  # health probes may append query strings
     route = (method.upper(), path.rstrip("/") or path)
     if route == ("GET", "/v1/health"):
-        health = {
-            "status": "ok",
+        # Each tier reports its own liveness: the multi-worker tier's
+        # ok / degraded / unavailable verdict with breaker detail, the
+        # in-process engine a constant ok.
+        detail = dict(engine.health())
+        return {
+            "status": detail.pop("status"),
             "version": repro.__version__,
             # The *active* checksum: a blue/green reload swaps the
             # dispatcher's artifact, so health always names the weights
@@ -127,31 +143,20 @@ def dispatch(
             "uptime_s": engine.uptime_s,
             "endpoints": engine.endpoints(),
             "n_features": engine.artifact.n_features,
-            "workers": getattr(engine, "n_workers", 1),
+            "workers": detail["workers"],
             "metadata": engine.artifact.metadata,
+            "resilience": detail,
         }
-        # The multi-worker tier knows slot-level liveness: surface its
-        # ok / degraded / unavailable verdict plus breaker detail.
-        engine_health = getattr(engine, "health", None)
-        if callable(engine_health):
-            detail = dict(engine_health())
-            health["status"] = detail.pop("status", "ok")
-            health["resilience"] = detail
-        return health
     if route == ("GET", "/v1/stats"):
         return engine.stats()
     if route == ("GET", "/v1/admin/online"):
-        controller = getattr(engine, "online_controller", None)
+        controller = engine.online_controller
         if controller is None:
             return {"enabled": False}
         return controller.status()
-    if route == ("GET", "/v1/metrics"):
-        # The HTTP handler unwraps this to a raw text/plain body; the
-        # in-process client receives the exposition text under a key.
-        return {"prometheus": engine.metrics_text()}
     try:
         if route == ("POST", "/v1/admin/online"):
-            controller = getattr(engine, "online_controller", None)
+            controller = engine.online_controller
             if controller is None:
                 raise RequestError(
                     "online refit is not enabled "
@@ -195,9 +200,9 @@ def dispatch(
     except RequestError:
         raise
     except ReproError as exc:
-        # Errors that know their HTTP status (e.g. the dispatcher's 503
-        # on worker loss, its 429 on shed load) keep it — and their
-        # retry/worker context; plain model errors stay 400s.
+        # Errors that know their HTTP status (e.g. a reload that finds
+        # the dispatcher stopped) keep it — and their retry/worker
+        # context; plain model errors stay 400s.
         raise RequestError(
             str(exc),
             status=getattr(exc, "status", 400),
@@ -209,8 +214,75 @@ def dispatch(
     raise RequestError(f"no endpoint {method.upper()} {path}", status=404)
 
 
+def answer(
+    engine: InferenceEngine, path: str, raw: bytes, method: str = "POST"
+) -> Tuple[int, bytes]:
+    """One request body, JSON in / JSON out: ``(status, body bytes)``.
+
+    ``InferenceEngine.handle_http`` and every dispatcher worker answer
+    data-plane POSTs with this; :func:`respond` answers GET and admin
+    verbs with it in the serving process.
+    """
+    try:
+        payload = json.loads(raw.decode("utf-8")) if raw else {}
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        return error_payload(
+            RequestError(f"request body is not valid JSON: {exc}")
+        )
+    try:
+        body = dispatch(engine, method, path, payload)
+    except RequestError as exc:
+        return error_payload(exc)
+    return 200, json.dumps(body).encode("utf-8")
+
+
+def respond(
+    engine: InferenceEngine, method: str, path: str, raw: bytes
+) -> Tuple[int, str, bytes]:
+    """Answer one request: ``(status, content type, body bytes)``.
+
+    The only request path, for both tiers and both transports.
+    """
+    method = method.upper()
+    path = path.split("?", 1)[0]
+    path = path.rstrip("/") or path
+    if method == "POST" and not path.startswith("/v1/admin"):
+        controller = engine.online_controller
+        if controller is not None:
+            # Feed the drift-response window.  tap() is a bounded
+            # append that never raises — the request path continues
+            # identically with or without the controller.
+            controller.tap(path, raw)
+        try:
+            status, body = engine.handle_http(path, raw)
+        except ReproError as exc:
+            # The multi-worker tier's own failures: worker loss (503)
+            # and shed load (429), with their retry/worker context.
+            status, body = error_payload(exc, default_status=503)
+        return status, JSON_TYPE, body
+    if method == "GET" and path == "/v1/metrics":
+        # Prometheus scrapers expect the exposition text bare, not
+        # wrapped in JSON.
+        return 200, PROMETHEUS_TYPE, engine.metrics_text().encode("utf-8")
+    status, body = answer(engine, path, raw, method)
+    return status, JSON_TYPE, body
+
+
+def _retry_after(body: bytes) -> str:
+    """``Retry-After`` delta-seconds from a 429/503 JSON error body.
+
+    HTTP wants an integer; the JSON body keeps the precise float for
+    clients that parse it.
+    """
+    try:
+        seconds = float(json.loads(body)["retry_after_s"])
+    except (ValueError, TypeError, KeyError):
+        seconds = DEFAULT_RETRY_AFTER_S
+    return str(max(1, math.ceil(seconds)))
+
+
 class _Handler(BaseHTTPRequestHandler):
-    """Maps HTTP requests onto :func:`dispatch`."""
+    """HTTP framing around :func:`respond`."""
 
     server_version = "repro-serving/1"
     protocol_version = "HTTP/1.1"
@@ -219,22 +291,13 @@ class _Handler(BaseHTTPRequestHandler):
     # client's delayed ACK fires, about 40 ms per request.
     disable_nagle_algorithm = True
 
-    def _reply(
-        self,
-        status: int,
-        body: Dict,
-        *,
-        raw: Optional[bytes] = None,
-        content_type: str = "application/json",
-        headers: Optional[Dict[str, str]] = None,
-    ) -> None:
-        data = raw if raw is not None else json.dumps(body).encode("utf-8")
+    def _reply(self, status: int, content_type: str, data: bytes) -> None:
         try:
             self.send_response(status)
             self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(data)))
-            for name, value in (headers or {}).items():
-                self.send_header(name, value)
+            if status in (429, 503):
+                self.send_header("Retry-After", _retry_after(data))
             self.end_headers()
             self.wfile.write(data)
         except (BrokenPipeError, ConnectionResetError) as exc:
@@ -254,6 +317,17 @@ class _Handler(BaseHTTPRequestHandler):
                 },
             )
 
+    def _refuse(self, status: int, message: str) -> None:
+        """Reply with an error and close: the body was left unread.
+
+        Without the close, a keep-alive client's next request would be
+        parsed out of the unread body bytes.
+        """
+        self.close_connection = True
+        self._reply(
+            status, JSON_TYPE, json.dumps({"error": message}).encode("utf-8")
+        )
+
     def _log_access(self, status: int, start: float) -> None:
         level = 20 if self.server.verbose else 10  # INFO / DEBUG
         if not _ACCESS_LOG.isEnabledFor(level):
@@ -272,130 +346,57 @@ class _Handler(BaseHTTPRequestHandler):
             },
         )
 
-    def _retry_after_header(self, body: Dict) -> Dict[str, str]:
-        """``Retry-After`` header from a structured error body.
-
-        HTTP wants integer delta-seconds; the JSON body keeps the
-        precise float for clients that parse it.
-        """
-        retry_after = body.get("retry_after_s")
-        if retry_after is None:
-            retry_after = DEFAULT_RETRY_AFTER_S
-        return {"Retry-After": str(max(1, math.ceil(float(retry_after))))}
-
-    def _error_reply(self, exc: BaseException, default_status: int = 400) -> int:
-        status, body = error_payload(exc, default_status)
-        headers = (
-            self._retry_after_header(body) if status in (429, 503) else None
-        )
-        self._reply(status, body, headers=headers)
-        return status
-
-    def _handle(self, payload: Optional[Dict]) -> None:
-        start = time.perf_counter()
-        status = 200
-        try:
-            with get_tracer().span(
-                "serving.dispatch", method=self.command, path=self.path
-            ):
-                body = dispatch(
-                    self.server.engine, self.command, self.path, payload
-                )
-        except RequestError as exc:
-            status = self._error_reply(exc)
-        else:
-            if "prometheus" in body and self.path.split("?", 1)[0].rstrip(
-                "/"
-            ) == "/v1/metrics":
-                # Prometheus scrapers expect the exposition text bare,
-                # not wrapped in JSON.
-                self._reply(
-                    200,
-                    {},
-                    raw=body["prometheus"].encode("utf-8"),
-                    content_type="text/plain; version=0.0.4; charset=utf-8",
-                )
-            else:
-                self._reply(200, body)
-        finally:
-            self._log_access(status, start)
-
-    def _handle_raw(self, engine, path: str, raw: bytes) -> None:
-        """Ship the undecoded POST body straight to a worker pipe.
-
-        The multi-process tier keeps the parent's handler threads off
-        the GIL-heavy work: JSON decode, model pass, and JSON encode
-        all happen inside the worker; this thread only routes bytes.
-        """
-        start = time.perf_counter()
-        status = 500
-        try:
-            with get_tracer().span(
-                "serving.dispatch", method="POST", path=path
-            ):
-                status, body = engine.handle_http(path, raw)
-            headers = None
-            if status in (429, 503):
-                # Worker-built error bodies already carry the
-                # structured retry fields — lift them into the header.
-                try:
-                    headers = self._retry_after_header(
-                        json.loads(body.decode("utf-8"))
-                    )
-                except (UnicodeDecodeError, ValueError):
-                    headers = self._retry_after_header({})
-            self._reply(status, {}, raw=body, headers=headers)
-        except ReproError as exc:
-            status = self._error_reply(exc, default_status=503)
-        finally:
-            self._log_access(status, start)
-
     def do_GET(self) -> None:  # noqa: N802 - http.server naming
-        self._handle(None)
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server naming
+        if "Transfer-Encoding" in self.headers:
+            # Only Content-Length framing is read.
+            self._refuse(411, "send the request body with a Content-Length")
+            return
         try:
             length = int(self.headers.get("Content-Length", 0))
         except ValueError:
             length = -1
         if length < 0 or length > MAX_REQUEST_BYTES:
-            # The body is left unread, so the connection cannot be
-            # reused — without this a keep-alive client's next request
-            # would be parsed out of the unread body bytes.
-            self.close_connection = True
-            self._reply(400, {"error": "invalid or oversized request body"})
+            self._refuse(400, "invalid or oversized request body")
             return
         raw = self.rfile.read(length)
-        engine = self.server.engine
-        path = self.path.split("?", 1)[0]
-        path = path.rstrip("/") or path
-        controller = getattr(engine, "online_controller", None)
-        if controller is not None and not path.startswith("/v1/admin"):
-            # Feed the drift-response window.  tap() is a bounded
-            # append that never raises — the request path continues
-            # identically with or without the controller.
-            controller.tap(path, raw)
-        if hasattr(engine, "handle_http") and not path.startswith("/v1/admin"):
-            # Admin verbs run in the parent (they orchestrate *all*
-            # workers); data-plane verbs ship raw bytes to one worker.
-            self._handle_raw(engine, path, raw)
-            return
+        start = time.perf_counter()
+        status = 500
         try:
-            payload = json.loads(raw.decode("utf-8")) if raw else {}
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            self._reply(400, {"error": f"request body is not valid JSON: {exc}"})
-            return
-        self._handle(payload)
+            with get_tracer().span(
+                "serving.dispatch", method=self.command, path=self.path
+            ):
+                status, content_type, data = respond(
+                    self.server.engine, self.command, self.path, raw
+                )
+            self._reply(status, content_type, data)
+        finally:
+            self._log_access(status, start)
+
+    do_POST = do_GET  # one framing for both verbs
 
     def log_message(self, format: str, *args) -> None:
         # http.server's own notices (malformed request lines, broken
         # pipes) route through the logging layer instead of stderr;
-        # per-request access records are emitted by _handle with
-        # status and latency.  Quiet by default either way, and then
-        # send_response's per-reply call formats nothing.
+        # per-request access records are emitted by do_GET/do_POST
+        # with status and latency.  Quiet by default either way, and
+        # then send_response's per-reply call formats nothing.
         level = 20 if self.server.verbose else 10
         if _SERVER_LOG.isEnabledFor(level):
             _SERVER_LOG.log(level, format % args if args else format)
+
+
+def _stop_engine(engine: InferenceEngine) -> None:
+    """Tear an engine down: its online controller first, then the tier.
+
+    The controller schedules reloads through the engine, so it must
+    stop before the engine is torn down beneath it.  Only the
+    multi-worker tier has processes to stop.
+    """
+    if engine.online_controller is not None:
+        engine.online_controller.stop()
+    engine_stop = getattr(engine, "stop", None)
+    if callable(engine_stop):
+        engine_stop()
 
 
 class DecisionService:
@@ -450,7 +451,7 @@ class DecisionService:
         leaked = thread is not None and (
             thread.join(timeout=timeout) or thread.is_alive()
         )
-        self._stop_engine()
+        _stop_engine(self.engine)
         if leaked:
             message = (
                 f"server thread failed to stop within {timeout:.1f}s; "
@@ -459,22 +460,12 @@ class DecisionService:
             _SERVER_LOG.error(message)
             raise ReproError(message)
 
-    def _stop_engine(self) -> None:
-        # The controller schedules reloads through the engine, so it
-        # must stop before the engine is torn down beneath it.
-        controller = getattr(self.engine, "online_controller", None)
-        if controller is not None:
-            controller.stop()
-        engine_stop = getattr(self.engine, "stop", None)
-        if callable(engine_stop):
-            engine_stop()
-
     def serve_forever(self) -> None:
         try:
             self._server.serve_forever()
         finally:
             self._server.server_close()
-            self._stop_engine()
+            _stop_engine(self.engine)
 
     def __enter__(self) -> "DecisionService":
         return self.start()
@@ -585,11 +576,6 @@ def serve_artifact(
     except BaseException:
         # Bind failures must not leak forked workers (or the
         # controller's background thread).
-        controller = getattr(engine, "online_controller", None)
-        if controller is not None:
-            controller.stop()
-        engine_stop = getattr(engine, "stop", None)
-        if callable(engine_stop):
-            engine_stop()
+        _stop_engine(engine)
         raise
 

@@ -244,19 +244,20 @@ def keep_alive_median_rtt():
 
 @pytest.fixture
 def answers_with_history():
-    """One request's answers on a fresh engine and on a warmed one.
+    """One request's answers from a fresh tier and from a warmed one.
 
-    The warmed engine first serves each record of the request alone.
-    An answer is the ``transform`` rows, the scores, and ``decide``'s
-    scores and decisions; ``fairness_drift`` follows the monitor's
-    window and is left out.  Works on either serving tier.
+    Takes two clients; the warmed one first sends each record of the
+    request alone.  An answer is the ``transform`` rows, the scores,
+    and ``decide``'s scores and decisions; ``fairness_drift`` follows
+    the monitor's window and is left out.  Works on either serving tier.
     """
 
-    def answers(engine, X, groups):
-        decided = engine.decide(X, groups)
+    def answers(client, X, groups):
+        records = X.tolist()
+        decided = client.decide(records, groups)
         return (
-            engine.transform(X),
-            engine.score(X),
+            client.transform(records),
+            client.score(records),
             decided["scores"],
             decided["decisions"],
         )

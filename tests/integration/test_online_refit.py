@@ -19,6 +19,7 @@ import pytest
 
 from repro.serving import (
     HTTPClient,
+    InProcessClient,
     fit_serving_pipeline,
     save_artifact,
     serve_artifact,
@@ -215,5 +216,23 @@ def test_online_disabled_surfaces_clearly(artifact_dir):
         client = HTTPClient(host, port)
         with pytest.raises(Exception, match="online refit is not enabled"):
             client.request("POST", "/v1/admin/online", {})
+    finally:
+        service.stop()
+
+
+def test_in_process_requests_reach_the_window(tiny_compas, artifact_dir):
+    """The in-process client feeds the controller's tap, as HTTP does."""
+    service = _serve(artifact_dir)
+    try:
+        client = InProcessClient(service.engine)
+        X, groups = tiny_compas.X, tiny_compas.protected
+        for lo in range(0, 32, 8):
+            client.decide(X[lo : lo + 8].tolist(), groups[lo : lo + 8].tolist())
+        deadline = time.time() + 10
+        status = client.request("GET", "/v1/admin/online")
+        while time.time() < deadline and status["window_rows"] < 32:
+            time.sleep(0.05)
+            status = client.request("GET", "/v1/admin/online")
+        assert status["window_rows"] == 32
     finally:
         service.stop()

@@ -1,17 +1,20 @@
-"""End-to-end serving tests: artifact -> engine -> service -> clients.
+"""End-to-end serving tests: artifact -> tier -> service -> clients.
 
-The same assertions run through the in-process client and the HTTP
-client (both built on the shared ``dispatch``), so a divergence between
-the two request paths fails loudly.
+The same assertions run on both serving tiers (``workers=1``, and a
+two-worker dispatcher in the ``...OnTwoWorkers`` subclasses) through
+both the in-process client and the HTTP client, so a divergence
+between tiers or transports fails loudly.
 """
 
+import http.client
 import json
+import re
+import socket
 
 import numpy as np
 import pytest
 
 from repro.serving import (
-    DecisionService,
     HTTPClient,
     InferenceEngine,
     InProcessClient,
@@ -19,30 +22,40 @@ from repro.serving import (
     fit_serving_pipeline,
     load_artifact,
     save_artifact,
+    serve_artifact,
 )
 
 
 @pytest.fixture(scope="module")
-def engine(tiny_compas, tmp_path_factory):
+def artifact_path(tiny_compas, tmp_path_factory):
     artifact = fit_serving_pipeline(
         tiny_compas, n_prototypes=4, max_iter=25, max_pairs=500, random_state=3
     )
     # Serve from a reloaded artifact so the whole persistence path is
     # part of the loop under test.
-    path = save_artifact(str(tmp_path_factory.mktemp("artifacts") / "compas"), artifact)
-    return InferenceEngine(load_artifact(path), batch_size=32)
+    return save_artifact(str(tmp_path_factory.mktemp("artifacts") / "compas"), artifact)
 
 
 @pytest.fixture(scope="module")
-def service(engine):
-    with DecisionService(engine, port=0) as running:
+def engine(artifact_path):
+    """The reference answers: one in-process engine, outside any service."""
+    return InferenceEngine(load_artifact(artifact_path), batch_size=32)
+
+
+@pytest.fixture(scope="class")
+def service(request, artifact_path):
+    """A running service on the tier its test class names (``workers``)."""
+    workers = getattr(request.cls, "workers", 1)
+    with serve_artifact(
+        artifact_path, port=0, workers=workers, batch_size=32
+    ) as running:
         yield running
 
 
-@pytest.fixture(scope="module", params=["in_process", "http"])
-def client(request, engine, service):
+@pytest.fixture(scope="class", params=["in_process", "http"])
+def client(request, service):
     if request.param == "in_process":
-        return InProcessClient(engine)
+        return InProcessClient(service.engine)
     host, port = service.address
     return HTTPClient(host, port)
 
@@ -58,9 +71,13 @@ def groups(tiny_compas):
 
 
 class TestEndpoints:
+    workers = 1
+
     def test_health(self, client):
         body = client.health()
         assert body["status"] == "ok"
+        assert body["workers"] == body["resilience"]["workers_alive"]
+        assert body["workers"] in (1, 2)
         assert set(body["endpoints"]) == {"transform", "score", "rank", "decide"}
         assert body["metadata"]["dataset"] == "compas"
 
@@ -99,12 +116,22 @@ class TestEndpoints:
         body = client.stats()
         assert body["records"] >= 0
 
-    def test_both_transports_agree(self, engine, service, records, groups):
+    def test_metrics_text_arrives_under_one_key(self, client, records):
+        client.score(records)
+        text = client.request("GET", "/v1/metrics")["prometheus"]
+        assert "serving_requests_total" in text
+
+    def test_both_transports_agree(self, service, records, groups):
         host, port = service.address
-        local, remote = InProcessClient(engine), HTTPClient(host, port)
+        local, remote = InProcessClient(service.engine), HTTPClient(host, port)
         assert local.score(records) == remote.score(records)
         assert local.rank(records, top_k=3) == remote.rank(records, top_k=3)
-        assert local.decide(records, groups) == remote.decide(records, groups)
+        decided = [local.decide(records, groups), remote.decide(records, groups)]
+        if local.health()["workers"] > 1:
+            # Each worker's drift flags read its own sliding window.
+            for body in decided:
+                body.pop("fairness_drift")
+        assert decided[0] == decided[1]
 
     def test_keep_alive_requests_answer_in_milliseconds(
         self, service, records, keep_alive_median_rtt
@@ -116,6 +143,8 @@ class TestEndpoints:
 
 
 class TestErrors:
+    workers = 1
+
     def test_unknown_endpoint_404(self, client):
         with pytest.raises(ServiceError) as excinfo:
             client.request("POST", "/v1/nope", {"records": [[1.0]]})
@@ -155,6 +184,65 @@ class TestErrors:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(req, timeout=5.0)
         assert excinfo.value.code == 400
+
+
+def _read_to_close(sock) -> bytes:
+    """Everything the server sends until it closes the connection."""
+    received = b""
+    while True:
+        data = sock.recv(65536)
+        if not data:
+            return received
+        received += data
+
+
+class TestFraming:
+    """Only Content-Length bodies are read, and always read whole."""
+
+    workers = 1
+
+    def test_chunked_body_gets_one_411_and_the_connection_closes(self, service):
+        body = json.dumps({"records": [[1.0]]}).encode("utf-8")
+        request = (
+            b"POST /v1/score HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            + b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
+        )
+        with socket.create_connection(service.address, timeout=5.0) as sock:
+            sock.sendall(request)
+            # A server that parsed the unread chunk bytes as a second
+            # request would answer twice; one that kept the connection
+            # open would time this read out.
+            received = _read_to_close(sock)
+        head, _, payload = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 411 ")
+        length = int(re.search(rb"Content-Length: (\d+)", head).group(1))
+        assert len(payload) == length  # nothing follows the one reply
+        assert "Content-Length" in json.loads(payload)["error"]
+
+    def test_get_body_is_consumed_so_keep_alive_stays_in_step(self, service):
+        conn = http.client.HTTPConnection(*service.address, timeout=5.0)
+        try:
+            for body in (b"{}", None):
+                conn.request("GET", "/v1/health", body=body)
+                response = conn.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["status"] == "ok"
+        finally:
+            conn.close()
+
+
+class TestEndpointsOnTwoWorkers(TestEndpoints):
+    workers = 2
+
+
+class TestErrorsOnTwoWorkers(TestErrors):
+    workers = 2
+
+
+class TestFramingOnTwoWorkers(TestFraming):
+    workers = 2
 
 
 class TestFreshProcessRoundTrip:

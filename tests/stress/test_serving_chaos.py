@@ -23,10 +23,11 @@ import pytest
 
 from repro.serving import (
     ChaosConfig,
-    DispatchError,
     EngineDispatcher,
     HTTPClient,
     InferenceEngine,
+    InProcessClient,
+    ServiceError,
     fit_serving_pipeline,
     load_artifact,
     save_artifact,
@@ -73,7 +74,7 @@ def engine(artifact_dirs):
 def batches(tiny_compas):
     rng = np.random.default_rng(17)
     rows = [rng.integers(0, tiny_compas.n_records, size=8) for _ in range(16)]
-    return [tiny_compas.X[r] for r in rows]
+    return [tiny_compas.X[r].tolist() for r in rows]
 
 
 class TestHungWorker:
@@ -96,18 +97,19 @@ class TestHungWorker:
             backoff_base_s=0.02,
             chaos=ChaosConfig(hang_once=str(token), hang_s=60.0),
         )
+        client = InProcessClient(dispatcher)
         try:
             # Token not yet written: the plane is armed but inert.
-            baseline = dispatcher.score(batches[0])
+            baseline = client.score(batches[0])
             before = dispatcher.stats()["resilience"]["deadline_kills"]
 
             token.write_text("armed")
             start = time.perf_counter()
-            answer = dispatcher.score(batches[0])
+            answer = client.score(batches[0])
             elapsed = time.perf_counter() - start
 
             assert not token.exists()  # exactly one worker claimed it
-            np.testing.assert_array_equal(answer, baseline)
+            assert answer == baseline
             # One deadline burn + the peer's service time, no more.
             assert elapsed < 0.3 * 2 + 1.0
             resilience = dispatcher.stats()["resilience"]
@@ -123,7 +125,7 @@ class TestHungWorker:
                 time.sleep(0.05)
             assert workers["alive"] == 2
             assert workers["respawns"] >= 1
-            np.testing.assert_array_equal(dispatcher.score(batches[0]), baseline)
+            assert client.score(batches[0]) == baseline
         finally:
             dispatcher.stop()
         assert leaked_segments() == []
@@ -135,14 +137,15 @@ class TestSustainedChaos:
         errors, mismatches, served = [], [], [0]
         lock = threading.Lock()
         barrier = threading.Barrier(threads)
+        client = InProcessClient(dispatcher)
 
         def client_main(k):
             barrier.wait(timeout=30)
             for i in range(per_thread):
                 batch = batches[(k + i) % len(batches)]
                 try:
-                    got = dispatcher.score(batch)
-                except DispatchError as exc:
+                    got = client.score(batch)
+                except ServiceError as exc:
                     with lock:
                         errors.append(exc)
                     continue
@@ -210,8 +213,8 @@ class TestSustainedChaos:
 
             # decide bodies match too, modulo each worker's private
             # fairness-drift window.
-            groups = (batches[0][:, -1] > 0.5).astype(float)
-            got = dispatcher.decide(batches[0], groups)
+            groups = (np.asarray(batches[0])[:, -1] > 0.5).astype(float).tolist()
+            got = InProcessClient(dispatcher).decide(batches[0], groups)
             expected = json.loads(
                 json.dumps(engine.decide(batches[0], groups))
             )
@@ -283,7 +286,7 @@ class TestHTTPUnderChaos:
             assert "resilience" in health
             for i in range(30):
                 batch = batches[i % len(batches)]
-                got = client.score(batch.tolist())
+                got = client.score(batch)
                 expected = json.loads(
                     json.dumps(engine.score(batch).tolist())
                 )

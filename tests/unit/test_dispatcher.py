@@ -4,7 +4,8 @@ The dispatcher must be *transparent*: N forked engine workers answer
 bitwise-identically to one in-process engine, survive worker crashes,
 swap models blue/green without dropping capacity or leaking file
 descriptors, and ship per-worker telemetry back into one mergeable
-registry — all without creating shared-memory segments.
+registry — all without creating shared-memory segments.  Requests go
+through :class:`InProcessClient`, the service's own request path.
 """
 
 import json
@@ -19,13 +20,14 @@ import pytest
 from repro.exceptions import ReproError, ValidationError
 from repro.serving import dispatcher as dispatcher_module
 from repro.serving import (
-    AdmissionError,
     ArtifactError,
     ChaosConfig,
-    DispatchError,
     EngineDispatcher,
     InferenceEngine,
     InProcessClient,
+    ServiceError,
+    ServiceOverloadedError,
+    ServiceUnavailableError,
     fit_serving_pipeline,
     load_artifact,
     save_artifact,
@@ -66,34 +68,39 @@ def dispatcher(artifact_dir):
 
 
 @pytest.fixture(scope="module")
+def client(dispatcher):
+    return InProcessClient(dispatcher)
+
+
+@pytest.fixture(scope="module")
 def records(tiny_compas):
-    return tiny_compas.X[:12]
+    return tiny_compas.X[:12].tolist()
 
 
 @pytest.fixture(scope="module")
 def groups(tiny_compas):
-    return tiny_compas.protected[:12]
+    return tiny_compas.protected[:12].tolist()
 
 
 class TestParity:
-    def test_transform_bitwise(self, dispatcher, engine, records):
+    def test_transform_bitwise(self, client, engine, records):
         assert np.array_equal(
-            dispatcher.transform(records), engine.transform(records)
+            client.transform(records), engine.transform(records)
         )
 
-    def test_score_bitwise(self, dispatcher, engine, records):
-        assert np.array_equal(dispatcher.score(records), engine.score(records))
+    def test_score_bitwise(self, client, engine, records):
+        assert np.array_equal(client.score(records), engine.score(records))
 
-    def test_rank_matches_json_roundtrip(self, dispatcher, engine, records):
+    def test_rank_matches_json_roundtrip(self, client, engine, records):
         expected = json.loads(json.dumps(engine.rank(records, top_k=5)))
-        assert dispatcher.rank(records, top_k=5) == expected
+        assert client.rank(records, top_k=5) == expected
 
     def test_decide_matches_modulo_drift_window(
-        self, dispatcher, engine, records, groups
+        self, client, engine, records, groups
     ):
         # fairness_drift reflects each worker's private sliding window,
         # which legitimately depends on which worker served what.
-        got = dispatcher.decide(records, groups)
+        got = client.decide(records, groups)
         expected = json.loads(json.dumps(engine.decide(records, groups)))
         got.pop("fairness_drift")
         expected.pop("fairness_drift")
@@ -108,8 +115,8 @@ class TestParity:
         with EngineDispatcher(load_artifact(path), n_workers=2) as fresh:
             with EngineDispatcher(load_artifact(path), n_workers=2) as warmed:
                 first, after = answers_with_history(
-                    fresh,
-                    warmed,
+                    InProcessClient(fresh),
+                    InProcessClient(warmed),
                     tiny_census.X[:16],
                     tiny_census.protected[:16].tolist(),
                 )
@@ -120,15 +127,15 @@ class TestParity:
         self, dispatcher, engine, records
     ):
         client = InProcessClient(dispatcher)
-        assert client.score(records.tolist()) == json.loads(
+        assert client.score(records) == json.loads(
             json.dumps(engine.score(records).tolist())
         )
 
 
 class TestErrors:
-    def test_bad_width_maps_to_400(self, dispatcher):
-        with pytest.raises(DispatchError) as excinfo:
-            dispatcher.score([[1.0, 2.0]])
+    def test_bad_width_maps_to_400(self, client):
+        with pytest.raises(ServiceError) as excinfo:
+            client.score([[1.0, 2.0]])
         assert excinfo.value.status == 400
 
     def test_n_workers_must_be_positive(self, artifact_dir):
@@ -139,20 +146,20 @@ class TestErrors:
         dispatcher = EngineDispatcher(load_artifact(artifact_dir), n_workers=1)
         dispatcher.stop()
         dispatcher.stop()  # idempotent
-        with pytest.raises(DispatchError):
-            dispatcher.score(records)
+        with pytest.raises(ServiceUnavailableError):
+            InProcessClient(dispatcher).score(records)
 
 
 class TestTelemetry:
-    def test_metrics_carry_worker_labels(self, dispatcher, records):
-        dispatcher.score(records)
+    def test_metrics_carry_worker_labels(self, dispatcher, client, records):
+        client.score(records)
         text = dispatcher.metrics_text()
         assert 'serving_requests_total{worker="' in text
         assert "serving_dispatch_seconds" in text
 
-    def test_stats_reduce_across_workers(self, dispatcher, records):
+    def test_stats_reduce_across_workers(self, dispatcher, client, records):
         for _ in range(4):
-            dispatcher.score(records)
+            client.score(records)
         stats = dispatcher.stats()
         assert stats["requests"] == sum(
             stats["workers"]["requests"].values()
@@ -167,7 +174,7 @@ class TestTelemetry:
         dispatcher = EngineDispatcher(load_artifact(artifact_dir), n_workers=2)
         try:
             for _ in range(6):
-                dispatcher.score(records)
+                InProcessClient(dispatcher).score(records)
             stats = dispatcher.stats()
             assert stats["requests"] == 6
             assert stats["records"] == 6 * len(records)
@@ -186,10 +193,11 @@ class TestTelemetry:
             n_workers=2,
             chaos=ChaosConfig(hang_once=str(token), hang_s=1.5),
         )
+        client = InProcessClient(dispatcher)
         try:
-            dispatcher.score(records)
+            client.score(records)
             token.write_text("armed")
-            stuck = threading.Thread(target=dispatcher.score, args=(records,))
+            stuck = threading.Thread(target=client.score, args=(records,))
             stuck.start()
             deadline = time.monotonic() + 10.0
             while token.exists() and time.monotonic() < deadline:
@@ -211,7 +219,7 @@ class TestTelemetry:
             dispatcher.stop()
 
     def test_health_surface(self, dispatcher, artifact_dir):
-        # The duck-typed engine surface dispatch() reads for /v1/health.
+        # The surface dispatch() reads for /v1/health.
         assert dispatcher.artifact.checksum
         assert dispatcher.uptime_s >= 0.0
         assert dispatcher.endpoints() == ["transform", "score", "rank", "decide"]
@@ -223,15 +231,16 @@ class TestCrashRecovery:
         self, artifact_dir, records
     ):
         dispatcher = EngineDispatcher(load_artifact(artifact_dir), n_workers=2)
+        client = InProcessClient(dispatcher)
         try:
-            baseline = dispatcher.score(records)
+            baseline = client.score(records)
             victim = dispatcher._workers[0].process
             os.kill(victim.pid, signal.SIGKILL)
             victim.join(timeout=5.0)
             # Requests survive throughout: the first to hit the dead
             # slot is rerouted to the live peer, never failed.
             for _ in range(6):
-                assert np.array_equal(dispatcher.score(records), baseline)
+                assert client.score(records) == baseline
             # The probe respawns the slot in the background (backoff +
             # ping verification), so rotation recovers shortly after.
             deadline = time.monotonic() + 10.0
@@ -242,7 +251,7 @@ class TestCrashRecovery:
                 time.sleep(0.05)
             assert stats["respawns"] >= 1
             assert stats["alive"] == 2
-            assert np.array_equal(dispatcher.score(records), baseline)
+            assert client.score(records) == baseline
         finally:
             dispatcher.stop()
 
@@ -261,6 +270,7 @@ class TestAdmission:
             shed_queue_s=0.02,
             chaos=ChaosConfig(slow=1.0, slow_ms=400.0, seed=5),
         )
+        client = InProcessClient(dispatcher)
         try:
             outcomes = []
             barrier = threading.Barrier(3)
@@ -268,9 +278,9 @@ class TestAdmission:
             def call():
                 barrier.wait()
                 try:
-                    dispatcher.score(records)
+                    client.score(records)
                     outcomes.append(("ok", None))
-                except DispatchError as exc:
+                except ServiceError as exc:
                     outcomes.append((exc.status, exc))
 
             threads = [threading.Thread(target=call) for _ in range(3)]
@@ -282,8 +292,9 @@ class TestAdmission:
             assert statuses.count("ok") >= 1
             assert statuses.count(429) >= 1
             shed_exc = next(exc for status, exc in outcomes if status == 429)
-            assert isinstance(shed_exc, AdmissionError)
-            assert shed_exc.retry_after_s and shed_exc.retry_after_s > 0
+            assert isinstance(shed_exc, ServiceOverloadedError)
+            # The admission gate's own hint, not the reply's default.
+            assert shed_exc.retry_after_s == dispatcher._shed_retry_after() > 0
             assert dispatcher.stats()["resilience"]["shed"] >= 1
         finally:
             dispatcher.stop()
@@ -307,11 +318,12 @@ class TestBreaker:
             probe_interval_s=0.02,
             chaos=ChaosConfig(crash=1.0, seed=2),
         )
+        client = InProcessClient(dispatcher)
         try:
             # Every attempt crashes its worker; with the only slot dead
             # the request surfaces a definitive 503.
-            with pytest.raises(DispatchError) as excinfo:
-                dispatcher.score(records)
+            with pytest.raises(ServiceUnavailableError) as excinfo:
+                client.score(records)
             assert excinfo.value.status == 503
             assert dispatcher.stats()["resilience"]["evictions"] >= 1
             assert dispatcher.health()["status"] == "unavailable"
@@ -319,11 +331,13 @@ class TestBreaker:
             # Breaker open: refusals are fast (no deadline burn) and
             # carry a retry hint.
             t0 = time.perf_counter()
-            with pytest.raises(DispatchError) as refused:
-                dispatcher.score(records)
+            with pytest.raises(ServiceUnavailableError) as refused:
+                client.score(records)
             assert time.perf_counter() - t0 < 1.0
             assert refused.value.status == 503
-            assert refused.value.retry_after_s is not None
+            # The probation's revival estimate, not the reply's 1 s
+            # default.
+            assert refused.value.retry_after_s > 1.0
             # Heal the fault and let probation expire: the probe
             # respawns, ping-verifies, and re-admits the slot.
             dispatcher._chaos = None
@@ -333,9 +347,9 @@ class TestBreaker:
             answer = None
             while time.monotonic() < deadline:
                 try:
-                    answer = dispatcher.score(records)
+                    answer = client.score(records)
                     break
-                except DispatchError:
+                except ServiceError:
                     time.sleep(0.05)
             assert answer is not None
             assert dispatcher.health()["status"] == "ok"
@@ -348,44 +362,45 @@ class TestBreaker:
 
 class TestReload:
     def test_reload_same_artifact_changes_nothing(
-        self, dispatcher, engine, artifact_dir, records
+        self, dispatcher, client, engine, artifact_dir, records
     ):
-        before = dispatcher.score(records)
+        before = client.score(records)
         answer = dispatcher.reload(artifact_dir)
         assert answer["status"] == "ok"
         assert answer["checksum"] == engine.artifact.checksum
         assert answer["previous_checksum"] == engine.artifact.checksum
         assert answer["workers"] == 2
-        assert np.array_equal(dispatcher.score(records), before)
+        assert client.score(records) == before
 
     def test_reload_new_artifact_swaps_checksum_and_answers(
         self, artifact_dir, other_artifact_dir, records
     ):
         other = load_artifact(other_artifact_dir)
         dispatcher = EngineDispatcher(load_artifact(artifact_dir), n_workers=2)
+        client = InProcessClient(dispatcher)
         try:
-            old = dispatcher.score(records)
+            old = client.score(records)
             answer = dispatcher.reload(other_artifact_dir)
             assert answer["checksum"] == other.checksum
             assert dispatcher.artifact.checksum == other.checksum
             fresh = InferenceEngine(other)
-            assert np.array_equal(dispatcher.score(records), fresh.score(records))
-            assert not np.array_equal(dispatcher.score(records), old)
+            assert np.array_equal(client.score(records), fresh.score(records))
+            assert client.score(records) != old
             # ...and back onto the first artifact.
             assert dispatcher.reload(artifact_dir)["checksum"] != other.checksum
-            assert np.array_equal(dispatcher.score(records), old)
+            assert client.score(records) == old
         finally:
             dispatcher.stop()
 
     def test_reload_missing_artifact_fails_and_keeps_serving(
-        self, dispatcher, records, tmp_path
+        self, dispatcher, client, records, tmp_path
     ):
-        before = dispatcher.score(records)
+        before = client.score(records)
         with pytest.raises(ArtifactError):
             dispatcher.reload(str(tmp_path / "nope"))
         with pytest.raises(ValidationError):
             dispatcher.reload("")
-        assert np.array_equal(dispatcher.score(records), before)
+        assert client.score(records) == before
 
 
 def _fd_count(pid: int) -> int:
@@ -402,13 +417,14 @@ class TestReloadChurn:
         # A worker that kept each reloaded artifact's resources open
         # would run into the fd limit after enough reloads.
         with EngineDispatcher(load_artifact(artifact_dir), n_workers=2) as tier:
-            tier.score(records)
+            client = InProcessClient(tier)
+            client.score(records)
             pids = [worker.process.pid for worker in tier._workers]
             start = [_fd_count(pid) for pid in pids]
             for i in range(40):
                 path = other_artifact_dir if i % 2 == 0 else artifact_dir
                 assert tier.reload(path)["workers"] == 2
-                tier.score(records)
+                client.score(records)
             assert [worker.process.pid for worker in tier._workers] == pids
             grown = [_fd_count(pid) - n for pid, n in zip(pids, start)]
         assert max(grown) <= 2, grown
@@ -418,14 +434,17 @@ class TestRequestHeight:
     @staticmethod
     def _answers_by_height(tier, X, n=16):
         """The first ``n`` records' (transform, score) at heights 1, n, len(X)."""
-        alone = [
-            (tier.transform(X[i : i + 1])[0], tier.score(X[i : i + 1])[0])
-            for i in range(n)
-        ]
+        client = InProcessClient(tier)
+
+        def ask(rows):
+            rows = rows.tolist()
+            return np.asarray(client.transform(rows)), np.asarray(client.score(rows))
+
+        alone = [ask(X[i : i + 1]) for i in range(n)]
         return {
-            1: (np.stack([z for z, _ in alone]), np.array([p for _, p in alone])),
-            n: (tier.transform(X[:n]), tier.score(X[:n])),
-            len(X): (tier.transform(X)[:n], tier.score(X)[:n]),
+            1: tuple(np.concatenate(parts) for parts in zip(*alone)),
+            n: ask(X[:n]),
+            len(X): tuple(answer[:n] for answer in ask(X)),
         }
 
     def test_served_bits_do_not_depend_on_request_height(
@@ -454,7 +473,7 @@ class TestCleanup:
     def test_stop_releases_all_segments(self, artifact_dir, records):
         before = set(leaked_segments())
         dispatcher = EngineDispatcher(load_artifact(artifact_dir), n_workers=2)
-        dispatcher.score(records)
+        InProcessClient(dispatcher).score(records)
         dispatcher.stop()
         assert set(leaked_segments()) <= before
 
@@ -463,8 +482,9 @@ class TestCleanup:
     ):
         before = set(leaked_segments())
         with EngineDispatcher(load_artifact(artifact_dir), n_workers=2) as tier:
-            tier.score(records)
+            client = InProcessClient(tier)
+            client.score(records)
             assert set(leaked_segments()) <= before
             tier.reload(other_artifact_dir)
-            tier.score(records)
+            client.score(records)
             assert set(leaked_segments()) <= before

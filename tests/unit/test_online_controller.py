@@ -14,7 +14,12 @@ import pytest
 
 from repro.data.compas import generate_compas
 from repro.exceptions import ValidationError
-from repro.serving import fit_serving_pipeline, load_artifact, save_artifact
+from repro.serving import (
+    InferenceEngine,
+    fit_serving_pipeline,
+    load_artifact,
+    save_artifact,
+)
 from repro.serving.online import DRIFT_POLICIES, DriftPolicy, OnlineController
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -116,6 +121,34 @@ def test_tap_is_safe_and_filters_admin(dataset, artifact_dir):
     controller.tap("/v1/decide", _payload(np.full((2, 3), np.nan)))  # bad width
     controller.step()
     assert controller.status()["window_rows"] == 0
+
+
+_BODIES = {
+    "rows": lambda X: {"records": X[:3].tolist()},
+    "one-flat-record": lambda X: {"records": X[0].tolist()},
+    "wrong-width": lambda X: {"records": X[:2, :-1].tolist()},
+    "nan": lambda X: {"records": [[float("nan")] * X.shape[1]]},
+    "ragged": lambda X: {"records": [X[0].tolist(), X[1, :-1].tolist()]},
+    "strings": lambda X: {"records": [["a"] * X.shape[1]]},
+    "empty-row": lambda X: {"records": [[]]},
+    "three-d": lambda X: {"records": [X[:2].tolist()]},
+    "not-an-object": lambda X: X[:2].tolist(),
+}
+
+
+@pytest.mark.parametrize("body", sorted(_BODIES))
+def test_window_takes_exactly_the_records_the_engine_serves(
+    dataset, artifact_dir, body
+):
+    engine = InferenceEngine(load_artifact(artifact_dir))
+    controller = _controller(engine, artifact_dir)
+    raw = json.dumps(_BODIES[body](dataset.X)).encode()
+    status, _ = engine.handle_http("/v1/transform", raw)
+    controller.tap("/v1/transform", raw)
+    controller.step()
+    window_rows = controller.status()["window_rows"]
+    assert (status == 200) == (window_rows > 0), (status, window_rows)
+    assert status != 200 or window_rows == engine.n_records
 
 
 def test_ingest_builds_window_and_bounds_it(dataset, artifact_dir):

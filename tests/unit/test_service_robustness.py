@@ -32,6 +32,7 @@ def _bare_handler(engine, command="GET", path="/v1/health"):
 class _EngineStub:
     def __init__(self):
         self.registry = MetricsRegistry()
+        self.online_controller = None
         self.stopped = 0
 
     def stop(self):
@@ -53,7 +54,8 @@ class TestClientDisconnect:
         server_log.addHandler(caplog.handler)
         try:
             with caplog.at_level("WARNING", logger="repro.serving.http"):
-                handler._reply(200, {"ok": True})  # must not raise
+                # must not raise
+                handler._reply(200, "application/json", b'{"ok": true}')
         finally:
             server_log.removeHandler(caplog.handler)
         assert handler.close_connection is True
@@ -69,7 +71,7 @@ class TestClientDisconnect:
         handler.wfile = SimpleNamespace(
             write=lambda data: (_ for _ in ()).throw(BrokenPipeError())
         )
-        handler._reply(200, {"ok": True})
+        handler._reply(200, "application/json", b'{"ok": true}')
         assert handler.close_connection is True
 
     def test_successful_reply_keeps_connection(self):
@@ -77,7 +79,7 @@ class TestClientDisconnect:
         handler = _bare_handler(engine)
         written = []
         handler.wfile = SimpleNamespace(write=written.append)
-        handler._reply(200, {"ok": True})
+        handler._reply(200, "application/json", b'{"ok": true}')
         assert written and handler.close_connection is False
         assert engine.registry.value("serving_client_disconnects_total") == 0
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
+from repro.serving.client import InProcessClient
 from repro.serving.engine import InferenceEngine, MicroBatcher
 from repro.serving.fit import fit_serving_pipeline
 
@@ -238,8 +239,8 @@ class TestEngineCache:
         # 16-record request, so reusing a row an earlier request
         # computed would change the answer.
         fresh, after = answers_with_history(
-            InferenceEngine(census_serving_artifact),
-            InferenceEngine(census_serving_artifact),
+            InProcessClient(InferenceEngine(census_serving_artifact)),
+            InProcessClient(InferenceEngine(census_serving_artifact)),
             tiny_census.X[:16],
             tiny_census.protected[:16].tolist(),
         )
